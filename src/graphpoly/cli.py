@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="vertex-count cap for enumeration and "
                              "vertex-subset sums")
     common.add_argument("--cap-m", type=int, default=None,
-                        help="edge-count cap for edge-subset sums")
+                        help="edge-count cap for span: properties summed "
+                             "over all edge subsets")
     common.add_argument("--cap-partition", type=int, default=None,
                         help="vertex-count cap for partition polynomials")
     common.add_argument("--jobs", type=int, default=1,

@@ -12,6 +12,9 @@ exact rationals or integers:
   empty subset contributes X^0 exactly when C contains the null graph.
   independence is the edgeless instance.
 * gen_span(G, D) = sum of X^|B| over edge subsets B with (V, B) in D.
+  For the builtin forest, connected and disconnected classes membership
+  depends only on the rank and nullity of B, so these read the table of
+  the rank-nullity sweep (below); other classes test all 2^m subsets.
 * gen_chromatic(G, C): count partitions of V into exactly j nonempty
   blocks, each inducing a member of C, then expand sum_j b_j X_(j) from
   the falling-factorial basis.  Evaluated at a nonnegative integer this
@@ -24,7 +27,8 @@ exact rationals or integers:
   frontier sweep (below) so that structured graphs well beyond the
   partition cap stay feasible.
 * tutte: sum over edge subsets of (X-1)^(r(E)-r(A)) (Y-1)^(|A|-r(A)) with
-  r the rank n - components.
+  r the rank n - components, expanded from the number of edge subsets of
+  each rank and nullity that the rank-nullity sweep (below) counts.
 * dominating: sum of X^|A| over nonempty dominating sets (the empty set
   never dominates a graph on n >= 1 vertices).
 * maxcl: sum of (number of maximal cliques of size i) X^i.
@@ -37,6 +41,16 @@ processed later, joining a retired block is always legal, so block counts
 are exact.  States collapse heavily (for complete graphs to a single
 state), which keeps cycles, ladders, wheels and similar families with a
 few dozen vertices comfortably in range.
+
+The rank-nullity sweep (Sekine, Imai and Tani, ISAAC 1995) follows the
+same order and retirement rule.  Its state is the connectivity partition
+that the chosen edges induce on the frontier, mapped to counts of edge
+subsets by (rank, nullity); each edge to an earlier vertex is either
+skipped or taken, and taking it either closes a cycle inside a block or
+merges two blocks.  The work grows with the number of frontier partitions
+rather than with 2^m, which brings complete graphs on 8 vertices and
+ladders on 40 vertices in range.  Both sweeps raise CapError once they
+hold more than max_states states.
 """
 
 from __future__ import annotations
@@ -62,7 +76,13 @@ from .poly import (
     int_determinant,
     interpolate,
 )
-from .properties import GraphProperty, builtin
+from .properties import (
+    GraphProperty,
+    _is_connected,
+    _is_disconnected,
+    _is_forest,
+    builtin,
+)
 
 # ------------------------------------------------------------ characteristic
 
@@ -162,19 +182,37 @@ def independence(g: Graph, cap_n: int | None = None) -> UniPoly:
     return gen_ind(g, builtin("edgeless"), cap_n=cap_n)
 
 
+# builtin spanning classes decided by (n, rank, nullity) of the edge subset
+_SPAN_BY_RANK_NULLITY = {
+    _is_forest: lambda n, r, b: b == 0,
+    _is_connected: lambda n, r, b: r == n - 1,
+    _is_disconnected: lambda n, r, b: r <= n - 2,
+}
+
+
 def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
     """Generating polynomial of edge subsets whose spanning graph is in D.
 
+    The builtin forest, connected and disconnected classes are read off
+    the rank-nullity table of the frontier sweep (bounded by its state
+    count, not by cap_m); every other class runs the 2^m subset loop.
     Every spanning subgraph keeps all n vertices, so contains_null never
     enters; callers worried about isolated-vertex closure should consult
     d.closure_isolated before interpreting results across orders.
     """
+    n = g.n
+    select = _SPAN_BY_RANK_NULLITY.get(d.predicate)
+    if select is not None:
+        counts = [0] * (edge_count(g) + 1)
+        for (r, b), ways in _rank_nullity_counts(g).items():
+            if select(n, r, b):
+                counts[r + b] += ways
+        return UniPoly(counts)
     cap_m = DEFAULT_CAPS.subset_m if cap_m is None else cap_m
     edges = edge_list(g)
     m = len(edges)
     if m > cap_m:
         raise CapError(f"edge-subset sum capped at m <= {cap_m}, got {m}")
-    n = g.n
     counts = [0] * (m + 1)
     for emask in range(1 << m):
         adj = [0] * n
@@ -293,13 +331,23 @@ def _elimination_order(g: Graph) -> list[int]:
     return order
 
 
-def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
-    """Partitions of V into j independent blocks, via the frontier sweep."""
-    n = g.n
+def _sweep_schedule(g: Graph) -> tuple[list[int], list[int]]:
+    """Elimination order, and per vertex the step after which it retires.
+
+    A vertex leaves the frontier once its last neighbour in the order has
+    been processed; an isolated vertex leaves at its own step.
+    """
     order = _elimination_order(g)
     pos = {v: i for i, v in enumerate(order)}
     retire_after = [max((pos[u] for u in bits(g.adj[v])), default=pos[v])
-                    for v in range(n)]
+                    for v in range(g.n)]
+    return order, retire_after
+
+
+def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
+    """Partitions of V into j independent blocks, via the frontier sweep."""
+    n = g.n
+    order, retire_after = _sweep_schedule(g)
 
     # state: (blocks restricted to the frontier, retired block count)
     states: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
@@ -348,42 +396,85 @@ def chromatic(g: Graph, max_states: int = 500_000) -> UniPoly:
 # ------------------------------------------------------------ tutte
 
 
-def tutte(g: Graph, cap_m: int | None = None) -> BiPoly:
-    """Whitney rank sum over all edge subsets."""
-    cap_m = DEFAULT_CAPS.subset_m if cap_m is None else cap_m
-    edges = edge_list(g)
-    m = len(edges)
-    if m > cap_m:
-        raise CapError(f"edge-subset sum capped at m <= {cap_m}, got {m}")
-    n = g.n
-    rank_full = n - len(component_masks(g))
-    counts: dict[tuple[int, int], int] = {}
-    parent = list(range(n))
+def _add_table(states: dict, key: tuple[int, ...],
+               table: dict[tuple[int, int], int]) -> None:
+    """Fold a (rank, nullity) table into states[key].
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A table passed in here must not be used by the caller afterwards: the
+    first one to arrive at a key is stored as is and later ones are added
+    into it in place.
+    """
+    into = states.get(key)
+    if into is None:
+        states[key] = table
+        return
+    for rb, ways in table.items():
+        into[rb] = into.get(rb, 0) + ways
 
-    for emask in range(1 << m):
-        for i in range(n):
-            parent[i] = i
-        comps = n
-        mm = emask
-        size = 0
-        while mm:
-            b = mm & -mm
-            u, v = edges[b.bit_length() - 1]
-            mm ^= b
-            size += 1
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        r = n - comps
-        key = (rank_full - r, size - r)
-        counts[key] = counts.get(key, 0) + 1
+
+def _rank_nullity_counts(g: Graph, max_states: int = 500_000
+                         ) -> dict[tuple[int, int], int]:
+    """counts[(r, b)]: edge subsets A of rank r and nullity |A| - r.
+
+    Frontier sweep after Sekine, Imai and Tani (ISAAC 1995) along the
+    order chromatic_blocks uses.  A state is the partition that the edges
+    taken so far induce on the frontier vertices, as block labels in
+    order of first occurrence, and maps to a table of (rank, nullity)
+    counts.  Each edge to an earlier vertex is skipped or taken; taken
+    inside a block it closes a cycle (nullity + 1), taken across two
+    blocks it merges them (rank + 1).  Rank and nullity are thus tallied
+    edge by edge, so a retired vertex is simply dropped from its block.
+    """
+    order, retire_after = _sweep_schedule(g)
+    frontier: list[int] = []
+    processed = 0
+    states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {
+        (): {(0, 0): 1}}
+    for step, v in enumerate(order):
+        states = {labels + (max(labels, default=-1) + 1,): table
+                  for labels, table in states.items()}
+        frontier.append(v)
+        j = len(frontier) - 1
+        for u in bits(g.adj[v] & processed):
+            i = frontier.index(u)
+            nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+            for labels, table in states.items():
+                lo, hi = sorted((labels[i], labels[j]))
+                if lo == hi:
+                    key = labels
+                    taken = {(r, b + 1): w for (r, b), w in table.items()}
+                else:
+                    key = tuple(lo if x == hi else x - (x > hi)
+                                for x in labels)
+                    taken = {(r + 1, b): w for (r, b), w in table.items()}
+                _add_table(nxt, labels, table)     # edge skipped
+                _add_table(nxt, key, taken)        # edge taken
+            states = nxt
+            if len(states) > max_states:
+                raise CapError(
+                    f"rank-nullity frontier sweep reached {len(states)} "
+                    f"states at step {step + 1} of {g.n}, over the cap of "
+                    f"{max_states}")
+        processed |= 1 << v
+        keep = [k for k, u in enumerate(frontier) if retire_after[u] > step]
+        if len(keep) < len(frontier):
+            frontier = [frontier[k] for k in keep]
+            nxt = {}
+            for labels, table in states.items():
+                first: dict[int, int] = {}
+                key = tuple(first.setdefault(labels[k], len(first))
+                            for k in keep)
+                _add_table(nxt, key, table)
+            states = nxt
+    (table,) = states.values()
+    return table
+
+
+def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
+    """Whitney rank sum over all edge subsets, from the frontier sweep."""
+    rank_full = g.n - len(component_masks(g))
+    counts = {(rank_full - r, b): ways for (r, b), ways
+              in _rank_nullity_counts(g, max_states).items()}
 
     max_a = max((a for a, _ in counts), default=0)
     max_b = max((b for _, b in counts), default=0)
@@ -501,7 +592,7 @@ def compute_poly(pk: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS):
     if pk.kind == "maxcl":
         return maximal_clique_profile(g, cap_n=caps.subset_n)
     if pk.kind == "tutte":
-        return tutte(g, cap_m=caps.subset_m)
+        return tutte(g)
     if pk.kind == "ind":
         assert pk.prop is not None
         return gen_ind(g, pk.prop, cap_n=caps.subset_n)

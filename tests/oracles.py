@@ -273,6 +273,46 @@ def tutte_dc(n, edges):
     return {k: c for k, c in out.items() if c != 0}
 
 
+def tutte_rank_sum(g: Graph):
+    """Whitney rank sum over all 2^m edge subsets by union-find; {(i,j): coeff}."""
+    edges = edge_list(g)
+    n, m = g.n, len(edges)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def rank_of(subset):
+        for i in range(n):
+            parent[i] = i
+        r = 0
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                r += 1
+        return r
+
+    rank_full = rank_of(edges)
+    counts = {}
+    for emask in range(1 << m):
+        subset = [e for idx, e in enumerate(edges) if emask >> idx & 1]
+        r = rank_of(subset)
+        key = (rank_full - r, len(subset) - r)
+        counts[key] = counts.get(key, 0) + 1
+    # expand (X-1)^a (Y-1)^b binomially
+    out = {}
+    for (a, b), cnt in counts.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                c = cnt * binom(a, i) * binom(b, j) * (-1) ** (a - i + b - j)
+                out[(i, j)] = out.get((i, j), 0) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
 # ---------------------------------------------------------------- misc
 
 

@@ -36,6 +36,15 @@ class TestCompute:
         assert code == 0
         assert rep["result"] == "0;0;0;1"
 
+    def test_tutte_of_clique_7(self, capsys):
+        code, rep = run_cli(capsys, "compute", "--poly", "tutte",
+                            "--graph", "family:clique:7")
+        assert code == 0
+        rows = [[int(c) for c in row.split()]
+                for row in rep["result"].split(";")]
+        assert sum(c * 2 ** (i + j) for i, row in enumerate(rows)
+                   for j, c in enumerate(row)) == 2 ** 21
+
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "triangle.txt"
         path.write_text("3 3\n0 1\n0 2\n1 2\n")

@@ -10,6 +10,7 @@ from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
     complete_bipartite,
     complete_graph,
+    component_masks,
     cycle_graph,
     disjoint_union,
     edge_count,
@@ -17,6 +18,8 @@ from graphpoly.graph import (
     empty_graph,
     enumerate_graphs,
     grid_graph,
+    make_family,
+    parse_family_spec,
     path_graph,
     wheel_graph,
 )
@@ -39,8 +42,8 @@ from graphpoly.invariants import (
     parse_poly_kind,
     tutte,
 )
-from graphpoly.poly import BiPoly, UniPoly
-from graphpoly.properties import builtin, complement_property
+from graphpoly.poly import BiPoly, UniPoly, int_determinant
+from graphpoly.properties import GraphProperty, builtin, complement_property
 
 X = UniPoly.x()
 
@@ -206,6 +209,15 @@ class TestGenSpan:
         with pytest.raises(CapError):
             gen_span(complete_graph(7), builtin("match_like"), cap_m=20)
 
+    def test_rank_nullity_classes_match_subset_loop(self):
+        # a fresh predicate object is not recognised, so it takes the 2^m loop
+        for name in ("forest", "connected", "disconnected"):
+            d = builtin(name)
+            generic = GraphProperty(name, lambda g, d=d: d.predicate(g))
+            for n in range(1, 7):
+                for g in enumerate_graphs(n):
+                    assert gen_span(g, d) == gen_span(g, generic), (name, g)
+
 
 class TestGenChromatic:
     def test_blocks_match_partition_scan(self):
@@ -355,9 +367,41 @@ class TestTutte:
                 assert grid_dict(tutte(g)) \
                     == oracles.tutte_dc(g.n, edge_list(g))
 
-    def test_edge_cap(self):
-        with pytest.raises(CapError):
-            tutte(complete_graph(7))
+    def test_matches_edge_subset_rank_sum(self):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                assert grid_dict(tutte(g)) == oracles.tutte_rank_sum(g)
+
+    def test_clique_7_passes_identities(self):
+        assert_tutte_identities(complete_graph(7))
+
+    @pytest.mark.parametrize("spec", ["clique:8", "ladder:20", "wheel:12",
+                                      "grid:4x4"])
+    def test_identities_beyond_brute_force(self, spec):
+        assert_tutte_identities(make_family(parse_family_spec(spec)))
+
+    def test_state_cap_names_count_and_step(self):
+        with pytest.raises(CapError,
+                           match=r"reached \d+ states at step \d+ of 7"):
+            tutte(complete_graph(7), max_states=20)
+
+
+def assert_tutte_identities(g):
+    """Evaluations of T(G), G connected, that other computations pin down."""
+    t = tutte(g)
+    n = g.n
+    assert len(component_masks(g)) == 1
+    assert t.evaluate(2, 2) == 2 ** edge_count(g)
+    assert t.evaluate(2, 1) == gen_span(g, builtin("forest")).evaluate(1)
+    # spanning trees, by the matrix-tree theorem: a Laplacian cofactor
+    cofactor = [[g.adj[i].bit_count() if i == j else -(g.adj[i] >> j & 1)
+                 for j in range(1, n)] for i in range(1, n)]
+    assert t.evaluate(1, 1) == int_determinant(cofactor)
+    # P(G; L) = (-1)^(n-1) L T(1-L, 0); both sides have degree n
+    p = chromatic(g)
+    for lam in range(n + 1):
+        assert p.evaluate(lam) \
+            == (-1) ** (n - 1) * lam * t.evaluate(1 - lam, 0)
 
 
 class TestDominating:
