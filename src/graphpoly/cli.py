@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -407,7 +408,15 @@ def main(argv=None) -> int:
         "jobs": args.jobs,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    print(json.dumps(report, sort_keys=True))
+    try:
+        print(json.dumps(report, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send the rest of the output, and the flush
+        # at interpreter exit, to devnull instead of raising again there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

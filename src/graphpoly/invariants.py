@@ -10,7 +10,9 @@ exact rationals or integers:
   the generating form  sum_k m_k X^k.
 * gen_ind(G, C) = sum of X^|A| over vertex subsets A with G[A] in C; the
   empty subset contributes X^0 exactly when C contains the null graph.
-  independence is the edgeless instance.
+  independence is the edgeless instance.  The builtin edgeless and forest
+  classes are counted by the vertex sweep (below); other classes test the
+  induced graph of all 2^n subsets.
 * gen_span(G, D) = sum of X^|B| over edge subsets B with (V, B) in D.
   For the builtin forest, connected and disconnected classes membership
   depends only on the rank and nullity of B, so these read the table of
@@ -30,7 +32,7 @@ exact rationals or integers:
   r the rank n - components, expanded from the number of edge subsets of
   each rank and nullity that the rank-nullity sweep (below) counts.
 * dominating: sum of X^|A| over nonempty dominating sets (the empty set
-  never dominates a graph on n >= 1 vertices).
+  never dominates a graph on n >= 1 vertices), counted by the vertex sweep.
 * maxcl: sum of (number of maximal cliques of size i) X^i.
 
 The frontier sweep used for chromatic processes vertices along a greedy
@@ -49,8 +51,27 @@ subsets by (rank, nullity); each edge to an earlier vertex is either
 skipped or taken, and taking it either closes a cycle inside a block or
 merges two blocks.  The work grows with the number of frontier partitions
 rather than with 2^m, which brings complete graphs on 8 vertices and
-ladders on 40 vertices in range.  Both sweeps raise CapError once they
-hold more than max_states states.
+ladders on 40 vertices in range.
+
+The vertex sweep follows the same order and retirement rule too, taking
+or skipping each vertex; its states are plain bitmasks in the original
+labels and map to counts of vertex subsets by size, so the work grows with
+the number of frontier states rather than with 2^n.  Three sets of transitions
+use it:
+
+* independence: the state is the set of unprocessed vertices adjacent to a
+  chosen one, which can no longer be chosen.
+* domination: the state is the set of processed, unchosen vertices still
+  waiting for a chosen neighbour, together with the unprocessed vertices
+  already dominated; a state dies when a waiting vertex retires.  Complete
+  graphs collapse to two states.
+* induced forests: the state is the sorted tuple of component masks of
+  the chosen frontier vertices; a vertex with two neighbours in one
+  component would close a cycle, and retired vertices are masked out.
+
+Every frontier sweep raises CapError once it holds more than max_states
+states; the rank-nullity and vertex sweeps name the sweep, the state
+count, the step and the cap.
 """
 
 from __future__ import annotations
@@ -80,6 +101,7 @@ from .properties import (
     GraphProperty,
     _is_connected,
     _is_disconnected,
+    _is_edgeless,
     _is_forest,
     builtin,
 )
@@ -164,22 +186,31 @@ def matching_generating(g: Graph, cap_n: int | None = None) -> UniPoly:
 # ------------------------------------------------------------ subset sums
 
 
-def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
-    """Generating polynomial of vertex subsets whose induced graph is in C."""
+def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
+            max_states: int = 500_000) -> UniPoly:
+    """Generating polynomial of vertex subsets whose induced graph is in C.
+
+    The builtin edgeless and forest classes run the vertex sweep (below);
+    every other class tests the induced graph of all 2^n subsets.
+    """
     cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
     if g.n > cap_n:
         raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
-    counts = [0] * (g.n + 1)
-    if c.contains_null:
-        counts[0] = 1
-    for mask in range(1, 1 << g.n):
-        if c.holds(induced_from_mask(g, mask)):
-            counts[mask.bit_count()] += 1
+    sweep = _IND_BY_SWEEP.get(c.predicate)
+    if sweep is not None:
+        counts = sweep(g, max_states)
+    else:
+        counts = [0] * (g.n + 1)
+        for mask in range(1, 1 << g.n):
+            if c.holds(induced_from_mask(g, mask)):
+                counts[mask.bit_count()] += 1
+    counts[0] = 1 if c.contains_null else 0
     return UniPoly(counts)
 
 
-def independence(g: Graph, cap_n: int | None = None) -> UniPoly:
-    return gen_ind(g, builtin("edgeless"), cap_n=cap_n)
+def independence(g: Graph, cap_n: int | None = None,
+                 max_states: int = 500_000) -> UniPoly:
+    return gen_ind(g, builtin("edgeless"), cap_n=cap_n, max_states=max_states)
 
 
 # builtin spanning classes decided by (n, rank, nullity) of the edge subset
@@ -490,28 +521,130 @@ def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
     return total
 
 
+# ------------------------------------------------------------ vertex sweep
+
+
+def _vertex_sweep(g: Graph, start, take, skip, name: str,
+                  max_states: int = 500_000) -> list[int]:
+    """counts[k]: vertex subsets of size k that the transitions accept.
+
+    Walks the order and retirement rule of chromatic_blocks.  A state is
+    any hashable key.  At each vertex v, take(state, v, ahead, gone) and
+    skip(...) return the next state, or None to drop it; ahead is the mask
+    of vertices after v in the order and gone the mask of vertices that
+    retire at this step.
+    """
+    order, retire_after = _sweep_schedule(g)
+    gone_at = [0] * g.n
+    for step, v in enumerate(order):
+        # a vertex whose neighbours all precede it retires at its own step
+        gone_at[max(retire_after[v], step)] |= 1 << v
+    # a state's counts by size packed into one int, `width` bits per size;
+    # a size-k field holds at most C(n, k) < 2^width, so none ever carries
+    width = g.n + 1
+    ahead = (1 << g.n) - 1
+    states = {start: 1}
+    for step, v in enumerate(order):
+        ahead ^= 1 << v
+        gone = gone_at[step]
+        nxt: dict = {}
+        for state, packed in states.items():
+            key = skip(state, v, ahead, gone)
+            if key is not None:
+                nxt[key] = nxt.get(key, 0) + packed
+            key = take(state, v, ahead, gone)
+            if key is not None:
+                nxt[key] = nxt.get(key, 0) + (packed << width)
+        states = nxt
+        if len(states) > max_states:
+            raise CapError(
+                f"{name} frontier sweep reached {len(states)} states at "
+                f"step {step + 1} of {g.n}, over the cap of {max_states}")
+    total = sum(states.values())
+    field = (1 << width) - 1
+    return [total >> (width * k) & field for k in range(g.n + 1)]
+
+
+def _independent_counts(g: Graph, max_states: int) -> list[int]:
+    """Independent sets by size, by the vertex sweep."""
+    adj = g.adj
+
+    def take(blocked, v, ahead, gone):
+        if blocked >> v & 1:
+            return None
+        return (blocked | adj[v]) & ahead
+
+    def skip(blocked, v, ahead, gone):
+        return blocked & ahead
+
+    return _vertex_sweep(g, 0, take, skip, "independence", max_states)
+
+
+def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
+    """Vertex subsets inducing a forest, by size, by the vertex sweep."""
+    adj = g.adj
+
+    def settle(comps, gone):
+        return tuple(sorted(m for c in comps if (m := c & ~gone)))
+
+    def take(comps, v, ahead, gone):
+        merged = 1 << v
+        rest = []
+        for c in comps:
+            touch = c & adj[v]
+            if not touch:
+                rest.append(c)
+            elif touch & (touch - 1):
+                return None
+            else:
+                merged |= c
+        rest.append(merged)
+        return settle(rest, gone)
+
+    def skip(comps, v, ahead, gone):
+        return settle(comps, gone) if gone else comps
+
+    return _vertex_sweep(g, (), take, skip, "ind:forest", max_states)
+
+
+# builtin induced classes that the vertex sweep counts directly
+_IND_BY_SWEEP = {
+    _is_edgeless: _independent_counts,
+    _is_forest: _induced_forest_counts,
+}
+
+
 # ------------------------------------------------------------ dominating, cliques
 
 
-def dominating(g: Graph, cap_n: int | None = None) -> UniPoly:
-    """Generating polynomial of nonempty dominating sets."""
+def dominating(g: Graph, cap_n: int | None = None,
+               max_states: int = 500_000) -> UniPoly:
+    """Generating polynomial of nonempty dominating sets, by the vertex sweep.
+
+    The state is (needs, covered ahead); the empty set never survives, as
+    every vertex of a graph on n >= 1 vertices retires undominated.
+    """
     cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
     if g.n > cap_n:
         raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
-    n = g.n
-    full = (1 << n) - 1
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    counts = [0] * (n + 1)
-    for mask in range(1, full + 1):
-        covered = 0
-        mm = mask
-        while mm:
-            b = mm & -mm
-            covered |= closed[b.bit_length() - 1]
-            mm ^= b
-        if covered == full:
-            counts[mask.bit_count()] += 1
-    return UniPoly(counts)
+    adj = g.adj
+
+    def take(state, v, ahead, gone):
+        needs = state[0] & ~adj[v]
+        if needs & gone:
+            return None
+        return needs, (state[1] | adj[v]) & ahead
+
+    def skip(state, v, ahead, gone):
+        needs, covered = state
+        if not covered >> v & 1:
+            needs |= 1 << v
+        if needs & gone:
+            return None
+        return needs, covered & ahead
+
+    return UniPoly(_vertex_sweep(g, (0, 0), take, skip, "domination",
+                                 max_states))
 
 
 def maximal_clique_profile(g: Graph, cap_n: int | None = None) -> UniPoly:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: permutation expansion for
 determinants, explicit assignment scans for colorings, exhaustive
-set-partition and edge-subset enumeration, deletion-contraction for the
-Tutte polynomial.  Nothing shares algorithmic code with the package
+vertex-subset, set-partition and edge-subset enumeration,
+deletion-contraction for the Tutte polynomial.  Nothing shares algorithmic code with the package
 beyond the Graph accessors; polynomial arithmetic is done on plain
 coefficient lists.
 """
@@ -188,6 +188,37 @@ def falling_value(k, j: int):
     for t in range(j):
         out *= k - t
     return out
+
+
+# ---------------------------------------------------------------- vertex subsets
+
+
+def induced_subset_counts(g: Graph, pred, contains_null: bool):
+    """Vertex subsets whose induced graph satisfies pred, by size.
+
+    The empty subset counts exactly when contains_null; ascending list.
+    """
+    counts = [1 if contains_null else 0]
+    for size in range(1, g.n + 1):
+        counts.append(sum(1 for subset in combinations(range(g.n), size)
+                          if pred(induced_subgraph(g, subset))))
+    return counts
+
+
+def dominating_sets_by_size(g: Graph):
+    """Vertex subsets every vertex is in or adjacent to, by size."""
+    counts = [0]
+    for size in range(1, g.n + 1):
+        total = 0
+        for subset in combinations(range(g.n), size):
+            reached = set(subset)
+            for u, v in edge_list(g):
+                if u in subset or v in subset:
+                    reached.update((u, v))
+            if len(reached) == g.n:
+                total += 1
+        counts.append(total)
+    return counts
 
 
 # ---------------------------------------------------------------- matchings

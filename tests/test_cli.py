@@ -214,3 +214,15 @@ class TestDeterminismAndErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == "3 0 -6 0 1"
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "graphpoly", "compute", "--poly", "tutte",
+             "--graph", "family:clique:7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()            # the reader is gone before any write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

@@ -8,6 +8,7 @@ import oracles
 from graphpoly.caps import Caps
 from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
+    complement_graph,
     complete_bipartite,
     complete_graph,
     component_masks,
@@ -19,6 +20,7 @@ from graphpoly.graph import (
     enumerate_graphs,
     grid_graph,
     make_family,
+    make_graph,
     parse_family_spec,
     path_graph,
     wheel_graph,
@@ -180,13 +182,62 @@ class TestGenInd:
         assert independence(empty_graph(2)) == UniPoly([1, 2, 1])
 
     def test_independence_is_edgeless_gen_ind(self):
+        # a fresh predicate object is not recognised, so it takes the 2^n loop
+        edgeless = builtin("edgeless")
+        generic = GraphProperty("edgeless", lambda g: edgeless.predicate(g),
+                                contains_null=True)
         for g in enumerate_graphs(4):
-            assert independence(g) == gen_ind(g, builtin("edgeless"))
+            assert independence(g) == gen_ind(g, generic)
 
     def test_vertex_cap(self):
         caps = Caps(subset_n=3)
         with pytest.raises(CapError):
             gen_ind(path_graph(4), builtin("edgeless"), cap_n=caps.subset_n)
+
+    def test_sweep_classes_match_subset_scan(self):
+        for name in ("edgeless", "forest"):
+            c = builtin(name)
+            for n in range(1, 8):
+                for g in enumerate_graphs(n):
+                    expect = oracles.induced_subset_counts(
+                        g, c.holds, c.contains_null)
+                    assert gen_ind(g, c) == UniPoly(expect), (name, g)
+
+    def test_path_recurrence(self):
+        # I(P_n) = I(P_(n-1)) + X I(P_(n-2)): delete an end vertex or take it
+        prev, cur = UniPoly([1, 1]), UniPoly([1, 2])
+        for n in range(3, 41):
+            prev, cur = cur, cur + X * prev
+            assert independence(path_graph(n), cap_n=40) == cur
+
+    def test_forests_in_cycles(self):
+        # every proper vertex subset of C_n induces a forest
+        forest = builtin("forest")
+        for n in range(3, 41):
+            expect = one_plus_x_power(n) - UniPoly.monomial(n) \
+                - UniPoly.one()
+            assert gen_ind(cycle_graph(n), forest, cap_n=40) == expect
+
+    def test_independence_is_complement_clique_polynomial(self):
+        rng = random.Random(15)
+        clique = builtin("clique")
+        for n in range(1, 11):
+            for _ in range(4):
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+                g = make_graph(n, [e for e in pairs if rng.random() < 0.4])
+                assert independence(g) \
+                    == UniPoly.one() + gen_ind(complement_graph(g), clique)
+
+    @pytest.mark.parametrize("name,run", [
+        ("independence", lambda g: independence(g, max_states=3)),
+        ("ind:forest", lambda g: gen_ind(g, builtin("forest"),
+                                         max_states=3)),
+        ("domination", lambda g: dominating(g, max_states=3)),
+    ])
+    def test_state_cap_names_polynomial_count_and_step(self, name, run):
+        with pytest.raises(CapError, match=rf"^{name} frontier sweep reached "
+                           r"\d+ states at step \d+ of 16, over the cap of 3$"):
+            run(grid_graph(4, 4))
 
 
 class TestGenSpan:
@@ -415,6 +466,19 @@ class TestDominating:
             p = dominating(g)
             assert p.coefficient(0) == 0
             assert p.coefficient(g.n) == 1
+
+    def test_matches_subset_scan(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                expect = oracles.dominating_sets_by_size(g)
+                assert dominating(g) == UniPoly(expect), g
+
+    def test_cycle_recurrence(self):
+        # Kotek et al. 2012: D(C_n) = X (D(C_(n-1)) + D(C_(n-2)) + D(C_(n-3)))
+        d = [dominating(cycle_graph(n)) for n in (3, 4, 5)]
+        for n in range(6, 31):
+            d.append(X * (d[-1] + d[-2] + d[-3]))
+            assert dominating(cycle_graph(n), cap_n=30) == d[-1]
 
 
 class TestMaximalCliques:
