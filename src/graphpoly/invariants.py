@@ -11,11 +11,11 @@ exact rationals or integers:
 * gen_ind(G, C) = sum of X^|A| over vertex subsets A with G[A] in C; the
   empty subset contributes X^0 exactly when C contains the null graph.
   independence is the edgeless instance.  The builtin edgeless and forest
-  classes are counted by the vertex sweep (below); other classes test the
-  induced graph of all 2^n subsets.
+  classes are counted by the frontier engine (below); other classes test
+  the induced graph of all 2^n subsets.
 * gen_span(G, D) = sum of X^|B| over edge subsets B with (V, B) in D.
   For the builtin forest, connected and disconnected classes membership
-  depends only on the rank and nullity of B, so these read the table of
+  depends only on the rank and nullity of B, so these read the counts of
   the rank-nullity sweep (below); other classes test all 2^m subsets.
 * gen_chromatic(G, C): count partitions of V into exactly j nonempty
   blocks, each inducing a member of C, then expand sum_j b_j X_(j) from
@@ -32,50 +32,44 @@ exact rationals or integers:
   r the rank n - components, expanded from the number of edge subsets of
   each rank and nullity that the rank-nullity sweep (below) counts.
 * dominating: sum of X^|A| over nonempty dominating sets (the empty set
-  never dominates a graph on n >= 1 vertices), counted by the vertex sweep.
+  never dominates a graph on n >= 1 vertices), counted by the domination
+  sweep (below).
 * maxcl: sum of (number of maximal cliques of size i) X^i.
 
-The frontier sweep used for chromatic processes vertices along a greedy
-low-width order and tracks, per state, the partition pattern of the
-vertices that still have unprocessed neighbors plus the number of blocks
-already retired.  Since a retired vertex can never be adjacent to a vertex
-processed later, joining a retired block is always legal, so block counts
-are exact.  States collapse heavily (for complete graphs to a single
-state), which keeps cycles, ladders, wheels and similar families with a
-few dozen vertices comfortably in range.
+Every sweep-style polynomial runs one frontier engine, after Sekine, Imai
+and Tani (ISAAC 1995).  It processes the vertices along a greedy low-width
+order; a vertex is on the frontier from its own step until its last
+neighbour has been processed, and then retires.  A state records what
+the later vertices need to know of the processed ones, with vertex sets
+as bitmasks in the original labels, and maps to a count; a transition
+multiplies the count by a factor.  The work grows with the number
+of frontier states rather than with 2^n or 2^m: complete graphs collapse
+to a few states, and cycles, ladders, wheels and similar families with a
+few dozen vertices stay in range.  The transition sets:
 
-The rank-nullity sweep (Sekine, Imai and Tani, ISAAC 1995) follows the
-same order and retirement rule.  Its state is the connectivity partition
-that the chosen edges induce on the frontier, mapped to counts of edge
-subsets by (rank, nullity); each edge to an earlier vertex is either
-skipped or taken, and taking it either closes a cycle inside a block or
-merges two blocks.  The work grows with the number of frontier partitions
-rather than with 2^m, which brings complete graphs on 8 vertices and
-ladders on 40 vertices in range.
+* chromatic: the independent blocks on the frontier and the number t of
+  retired blocks.  No later vertex is adjacent to a retired block, so v
+  joins a frontier block it has no edge into, starts a new block, or
+  joins one of the t retired blocks.
+* rank-nullity: the connectivity partition that the chosen edges induce
+  on the frontier and the number of retired components, with counts
+  packed by nullity.  v joins any subset of the blocks it has edges into.
+* independence: the unprocessed vertices adjacent to a chosen one, which
+  can no longer be chosen.
+* domination: the processed, unchosen vertices still waiting for a chosen
+  neighbour, and the unprocessed vertices already dominated; a state dies
+  when a waiting vertex retires.
+* induced forests: the component masks of the chosen frontier vertices; a
+  vertex with two neighbours in one component would close a cycle.
 
-The vertex sweep follows the same order and retirement rule too, taking
-or skipping each vertex; its states are plain bitmasks in the original
-labels and map to counts of vertex subsets by size, so the work grows with
-the number of frontier states rather than with 2^n.  Three sets of transitions
-use it:
-
-* independence: the state is the set of unprocessed vertices adjacent to a
-  chosen one, which can no longer be chosen.
-* domination: the state is the set of processed, unchosen vertices still
-  waiting for a chosen neighbour, together with the unprocessed vertices
-  already dominated; a state dies when a waiting vertex retires.  Complete
-  graphs collapse to two states.
-* induced forests: the state is the sorted tuple of component masks of
-  the chosen frontier vertices; a vertex with two neighbours in one
-  component would close a cycle, and retired vertices are masked out.
-
-Every frontier sweep raises CapError once it holds more than max_states
-states; the rank-nullity and vertex sweeps name the sweep, the state
-count, the step and the cap.
+The last three take or skip each vertex and count vertex subsets by size.
+A sweep raises CapError once it holds more than max_states states, naming
+the sweep, the state count, the step and the cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,7 +184,7 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
             max_states: int = 500_000) -> UniPoly:
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
-    The builtin edgeless and forest classes run the vertex sweep (below);
+    The builtin edgeless and forest classes run a frontier sweep (below);
     every other class tests the induced graph of all 2^n subsets.
     """
     cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
@@ -363,58 +357,86 @@ def _elimination_order(g: Graph) -> list[int]:
 
 
 def _sweep_schedule(g: Graph) -> tuple[list[int], list[int]]:
-    """Elimination order, and per vertex the step after which it retires.
+    """Elimination order, and per step the mask of vertices retiring there.
 
-    A vertex leaves the frontier once its last neighbour in the order has
-    been processed; an isolated vertex leaves at its own step.
+    A vertex leaves the frontier at the step that processes the later of
+    itself and its last neighbour in the order.
     """
     order = _elimination_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    retire_after = [max((pos[u] for u in bits(g.adj[v])), default=pos[v])
-                    for v in range(g.n)]
-    return order, retire_after
+    gone_at = [0] * g.n
+    for v in range(g.n):
+        gone_at[max([pos[v]] + [pos[u] for u in bits(g.adj[v])])] |= 1 << v
+    return order, gone_at
 
 
-def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
-    """Partitions of V into j independent blocks, via the frontier sweep."""
-    n = g.n
-    order, retire_after = _sweep_schedule(g)
+def _frontier_sweep(g: Graph, start, expand, name: str,
+                    max_states: int = 500_000) -> dict:
+    """Final states of a frontier sweep, each mapped to its count.
 
-    # state: (blocks restricted to the frontier, retired block count)
-    states: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
+    Starting from the single state `start` with count 1, the sweep
+    processes the vertices in the order of _sweep_schedule.  At each
+    vertex v, expand(state, v, ahead, gone) yields (key, factor) pairs and
+    key receives the state's count times factor; ahead is the mask of the
+    vertices after v in the order and gone the mask of the vertices that
+    retire at this step.  A state is any hashable key and a count any int,
+    so a transition set may pack a polynomial into it.
+    """
+    order, gone_at = _sweep_schedule(g)
+    ahead = (1 << g.n) - 1
+    states = {start: 1}
     for step, v in enumerate(order):
-        nxt: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
-
-        def emit(blocks_list: list[tuple[int, ...]], t: int, ways: int) -> None:
-            kept = []
-            retired = t
-            for blk in blocks_list:
-                alive = tuple(u for u in blk if retire_after[u] > step)
-                if alive:
-                    kept.append(alive)
-                else:
-                    retired += 1
-            key = (tuple(sorted(kept)), retired)
-            nxt[key] = nxt.get(key, 0) + ways
-
-        for (blocks, t), ways in states.items():
-            for idx, blk in enumerate(blocks):
-                if any(g.adj[v] >> u & 1 for u in blk):
-                    continue
-                joined = list(blocks)
-                joined[idx] = tuple(sorted(blk + (v,)))
-                emit(joined, t, ways)
-            emit(list(blocks) + [(v,)], t, ways)
-            if t:
-                emit(list(blocks) + [(v,)], t - 1, ways * t)
+        ahead ^= 1 << v
+        gone = gone_at[step]
+        nxt: dict = {}
+        for state, count in states.items():
+            for key, factor in expand(state, v, ahead, gone):
+                nxt[key] = nxt.get(key, 0) + count * factor
         states = nxt
         if len(states) > max_states:
             raise CapError(
-                f"chromatic frontier sweep exceeded {max_states} states")
+                f"{name} frontier sweep reached {len(states)} states at "
+                f"step {step + 1} of {g.n}, over the cap of {max_states}")
+    return states
 
-    out = [0] * (n + 1)
-    for (blocks, t), ways in states.items():
-        assert not blocks
+
+def _settle(blocks, gone: int) -> tuple[tuple[int, ...], int]:
+    """The blocks without the retiring vertices, sorted, and how many emptied."""
+    live = sorted(m for b in blocks if (m := b & ~gone))
+    return tuple(live), len(blocks) - len(live)
+
+
+def _fields(packed: int, width: int, size: int) -> list[int]:
+    """The first `size` fields of `width` bits packed into one int."""
+    field = (1 << width) - 1
+    return [packed >> (width * k) & field for k in range(size)]
+
+
+def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
+    """Partitions of V into j independent blocks, via the frontier sweep.
+
+    A state is the blocks restricted to the frontier, as sorted bitmasks,
+    and the number t of retired blocks.  No vertex processed later is
+    adjacent to a retired block, so v may join any of the t retired blocks
+    as well as a frontier block it has no edge into, or start a new block.
+    """
+    adj = g.adj
+
+    def expand(state, v, ahead, gone):
+        blocks, t = state
+        for i, b in enumerate(blocks):
+            if not b & adj[v]:
+                live, shut = _settle(
+                    blocks[:i] + (b | 1 << v,) + blocks[i + 1:], gone)
+                yield (live, t + shut), 1
+        live, shut = _settle(blocks + (1 << v,), gone)
+        yield (live, t + shut), 1
+        if t:
+            yield (live, t - 1 + shut), t
+
+    out = [0] * (g.n + 1)
+    for (_, t), ways in _frontier_sweep(g, ((), 0), expand, "chromatic",
+                                        max_states).items():
         out[t] += ways
     return tuple(out)
 
@@ -427,78 +449,44 @@ def chromatic(g: Graph, max_states: int = 500_000) -> UniPoly:
 # ------------------------------------------------------------ tutte
 
 
-def _add_table(states: dict, key: tuple[int, ...],
-               table: dict[tuple[int, int], int]) -> None:
-    """Fold a (rank, nullity) table into states[key].
-
-    A table passed in here must not be used by the caller afterwards: the
-    first one to arrive at a key is stored as is and later ones are added
-    into it in place.
-    """
-    into = states.get(key)
-    if into is None:
-        states[key] = table
-        return
-    for rb, ways in table.items():
-        into[rb] = into.get(rb, 0) + ways
-
-
 def _rank_nullity_counts(g: Graph, max_states: int = 500_000
                          ) -> dict[tuple[int, int], int]:
     """counts[(r, b)]: edge subsets A of rank r and nullity |A| - r.
 
-    Frontier sweep after Sekine, Imai and Tani (ISAAC 1995) along the
-    order chromatic_blocks uses.  A state is the partition that the edges
-    taken so far induce on the frontier vertices, as block labels in
-    order of first occurrence, and maps to a table of (rank, nullity)
-    counts.  Each edge to an earlier vertex is skipped or taken; taken
-    inside a block it closes a cycle (nullity + 1), taken across two
-    blocks it merges them (rank + 1).  Rank and nullity are thus tallied
-    edge by edge, so a retired vertex is simply dropped from its block.
+    Frontier sweep after Sekine, Imai and Tani (ISAAC 1995).  A state is
+    the partition that the chosen edges induce on the frontier, as sorted
+    block bitmasks, and the number of retired components.  Its count is a
+    polynomial in the nullity Y packed into one int, m + 1 bits per power;
+    a field counts edge subsets, at most 2^m, so none ever carries.  v
+    joins any subset of the blocks it has edges into; k edges into a block
+    give the factor ((1+Y)^k - 1)/Y, as one chosen edge merges and the
+    rest close cycles.  Every vertex ends in a retired component, so the
+    rank is n minus the final component count.
     """
-    order, retire_after = _sweep_schedule(g)
-    frontier: list[int] = []
-    processed = 0
-    states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {
-        (): {(0, 0): 1}}
-    for step, v in enumerate(order):
-        states = {labels + (max(labels, default=-1) + 1,): table
-                  for labels, table in states.items()}
-        frontier.append(v)
-        j = len(frontier) - 1
-        for u in bits(g.adj[v] & processed):
-            i = frontier.index(u)
-            nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-            for labels, table in states.items():
-                lo, hi = sorted((labels[i], labels[j]))
-                if lo == hi:
-                    key = labels
-                    taken = {(r, b + 1): w for (r, b), w in table.items()}
-                else:
-                    key = tuple(lo if x == hi else x - (x > hi)
-                                for x in labels)
-                    taken = {(r + 1, b): w for (r, b), w in table.items()}
-                _add_table(nxt, labels, table)     # edge skipped
-                _add_table(nxt, key, taken)        # edge taken
-            states = nxt
-            if len(states) > max_states:
-                raise CapError(
-                    f"rank-nullity frontier sweep reached {len(states)} "
-                    f"states at step {step + 1} of {g.n}, over the cap of "
-                    f"{max_states}")
-        processed |= 1 << v
-        keep = [k for k, u in enumerate(frontier) if retire_after[u] > step]
-        if len(keep) < len(frontier):
-            frontier = [frontier[k] for k in keep]
-            nxt = {}
-            for labels, table in states.items():
-                first: dict[int, int] = {}
-                key = tuple(first.setdefault(labels[k], len(first))
-                            for k in keep)
-                _add_table(nxt, key, table)
-            states = nxt
-    (table,) = states.values()
-    return table
+    adj = g.adj
+    width = edge_count(g) + 1
+    lift = [sum(math.comb(k, j) << (j - 1) * width for j in range(1, k + 1))
+            for k in range(g.n)]
+
+    def expand(state, v, ahead, gone):
+        blocks, comps = state
+        joins = [(1 << v, 1)]
+        for b in blocks:
+            k = (b & adj[v]).bit_count()
+            if k:
+                joins += [(merged | b, f * lift[k]) for merged, f in joins]
+        for merged, f in joins:
+            live, shut = _settle(
+                [b for b in blocks if not b & merged] + [merged], gone)
+            yield (live, comps + shut), f
+
+    counts = {}
+    for (_, comps), packed in _frontier_sweep(
+            g, ((), 0), expand, "rank-nullity", max_states).items():
+        for b, ways in enumerate(_fields(packed, width, width)):
+            if ways:
+                counts[g.n - comps, b] = ways
+    return counts
 
 
 def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
@@ -521,73 +509,37 @@ def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
     return total
 
 
-# ------------------------------------------------------------ vertex sweep
-
-
-def _vertex_sweep(g: Graph, start, take, skip, name: str,
-                  max_states: int = 500_000) -> list[int]:
-    """counts[k]: vertex subsets of size k that the transitions accept.
-
-    Walks the order and retirement rule of chromatic_blocks.  A state is
-    any hashable key.  At each vertex v, take(state, v, ahead, gone) and
-    skip(...) return the next state, or None to drop it; ahead is the mask
-    of vertices after v in the order and gone the mask of vertices that
-    retire at this step.
-    """
-    order, retire_after = _sweep_schedule(g)
-    gone_at = [0] * g.n
-    for step, v in enumerate(order):
-        # a vertex whose neighbours all precede it retires at its own step
-        gone_at[max(retire_after[v], step)] |= 1 << v
-    # a state's counts by size packed into one int, `width` bits per size;
-    # a size-k field holds at most C(n, k) < 2^width, so none ever carries
-    width = g.n + 1
-    ahead = (1 << g.n) - 1
-    states = {start: 1}
-    for step, v in enumerate(order):
-        ahead ^= 1 << v
-        gone = gone_at[step]
-        nxt: dict = {}
-        for state, packed in states.items():
-            key = skip(state, v, ahead, gone)
-            if key is not None:
-                nxt[key] = nxt.get(key, 0) + packed
-            key = take(state, v, ahead, gone)
-            if key is not None:
-                nxt[key] = nxt.get(key, 0) + (packed << width)
-        states = nxt
-        if len(states) > max_states:
-            raise CapError(
-                f"{name} frontier sweep reached {len(states)} states at "
-                f"step {step + 1} of {g.n}, over the cap of {max_states}")
-    total = sum(states.values())
-    field = (1 << width) - 1
-    return [total >> (width * k) & field for k in range(g.n + 1)]
+# ------------------------------------------------------------ vertex sweeps
+# A vertex sweep counts vertex subsets by size: taking v multiplies a count
+# by 1 << (n + 1), so field k of width n + 1 counts subsets of size k, and
+# C(n, k) < 2^(n + 1) never carries.
 
 
 def _independent_counts(g: Graph, max_states: int) -> list[int]:
-    """Independent sets by size, by the vertex sweep."""
+    """Independent sets by size; the state is N(S) among later vertices."""
     adj = g.adj
+    take = 1 << (g.n + 1)
 
-    def take(blocked, v, ahead, gone):
-        if blocked >> v & 1:
-            return None
-        return (blocked | adj[v]) & ahead
+    def expand(blocked, v, ahead, gone):
+        yield blocked & ahead, 1
+        if not blocked >> v & 1:
+            yield (blocked | adj[v]) & ahead, take
 
-    def skip(blocked, v, ahead, gone):
-        return blocked & ahead
-
-    return _vertex_sweep(g, 0, take, skip, "independence", max_states)
+    states = _frontier_sweep(g, 0, expand, "independence", max_states)
+    return _fields(sum(states.values()), g.n + 1, g.n + 1)
 
 
 def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
-    """Vertex subsets inducing a forest, by size, by the vertex sweep."""
+    """Vertex subsets inducing a forest, by size.
+
+    The state is the sorted component masks of the chosen frontier
+    vertices; v with two neighbours in one component would close a cycle.
+    """
     adj = g.adj
+    take = 1 << (g.n + 1)
 
-    def settle(comps, gone):
-        return tuple(sorted(m for c in comps if (m := c & ~gone)))
-
-    def take(comps, v, ahead, gone):
+    def expand(comps, v, ahead, gone):
+        yield (_settle(comps, gone)[0] if gone else comps), 1
         merged = 1 << v
         rest = []
         for c in comps:
@@ -595,19 +547,17 @@ def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
             if not touch:
                 rest.append(c)
             elif touch & (touch - 1):
-                return None
+                return
             else:
                 merged |= c
         rest.append(merged)
-        return settle(rest, gone)
+        yield _settle(rest, gone)[0], take
 
-    def skip(comps, v, ahead, gone):
-        return settle(comps, gone) if gone else comps
-
-    return _vertex_sweep(g, (), take, skip, "ind:forest", max_states)
+    states = _frontier_sweep(g, (), expand, "ind:forest", max_states)
+    return _fields(sum(states.values()), g.n + 1, g.n + 1)
 
 
-# builtin induced classes that the vertex sweep counts directly
+# builtin induced classes that a vertex sweep counts directly
 _IND_BY_SWEEP = {
     _is_edgeless: _independent_counts,
     _is_forest: _induced_forest_counts,
@@ -628,23 +578,19 @@ def dominating(g: Graph, cap_n: int | None = None,
     if g.n > cap_n:
         raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
     adj = g.adj
+    take = 1 << (g.n + 1)
 
-    def take(state, v, ahead, gone):
-        needs = state[0] & ~adj[v]
-        if needs & gone:
-            return None
-        return needs, (state[1] | adj[v]) & ahead
-
-    def skip(state, v, ahead, gone):
+    def expand(state, v, ahead, gone):
         needs, covered = state
-        if not covered >> v & 1:
-            needs |= 1 << v
-        if needs & gone:
-            return None
-        return needs, covered & ahead
+        skipped = needs if covered >> v & 1 else needs | 1 << v
+        if not skipped & gone:
+            yield (skipped, covered & ahead), 1
+        taken = needs & ~adj[v]
+        if not taken & gone:
+            yield (taken, (covered | adj[v]) & ahead), take
 
-    return UniPoly(_vertex_sweep(g, (0, 0), take, skip, "domination",
-                                 max_states))
+    states = _frontier_sweep(g, (0, 0), expand, "domination", max_states)
+    return UniPoly(_fields(sum(states.values()), g.n + 1, g.n + 1))
 
 
 def maximal_clique_profile(g: Graph, cap_n: int | None = None) -> UniPoly:

@@ -12,8 +12,6 @@ Conventions:
   MINUS_INFINITY rather than -1.
 * BiPoly stores a rectangular integer grid indexed by (degree in X,
   degree in Y) with trailing all-zero rows and columns removed.
-* FallingFactorial stores coefficients over the basis
-  X_(j) = X (X-1) ... (X-j+1).
 
 Text formats, shared bit-exactly with the CLI:
 
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -369,32 +366,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.text()!r})"
-
-
-@dataclass(frozen=True)
-class FallingFactorial:
-    """Coefficients over the falling-factorial basis X_(j)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def to_monomial(self) -> UniPoly:
-        return falling_to_monomial(self.coeffs)
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        factor = Fraction(1)
-        for j, c in enumerate(self.coeffs):
-            if j > 0:
-                factor *= x - (j - 1)
-            acc += c * factor
-        return acc
 
 
 def falling_to_monomial(coeffs) -> UniPoly:

@@ -23,6 +23,7 @@ from graphpoly.graph import (
     make_graph,
     parse_family_spec,
     path_graph,
+    relabel,
     wheel_graph,
 )
 from graphpoly.invariants import (
@@ -233,6 +234,8 @@ class TestGenInd:
         ("ind:forest", lambda g: gen_ind(g, builtin("forest"),
                                          max_states=3)),
         ("domination", lambda g: dominating(g, max_states=3)),
+        ("chromatic", lambda g: chromatic(g, max_states=3)),
+        ("rank-nullity", lambda g: tutte(g, max_states=3)),
     ])
     def test_state_cap_names_polynomial_count_and_step(self, name, run):
         with pytest.raises(CapError, match=rf"^{name} frontier sweep reached "
@@ -453,6 +456,26 @@ def assert_tutte_identities(g):
     for lam in range(n + 1):
         assert p.evaluate(lam) \
             == (-1) ** (n - 1) * lam * t.evaluate(1 - lam, 0)
+
+
+@pytest.mark.parametrize("spec", ["ladder:8", "grid:3x4", "wheel:9",
+                                  "cbipartite:3x4"])
+def test_frontier_sweeps_ignore_vertex_labels(spec):
+    # a relabelling changes the elimination order, so every transition set
+    # of the frontier engine runs on another schedule
+    forest, connected = builtin("forest"), builtin("connected")
+
+    def sweeps(h):
+        return (chromatic(h), tutte(h), independence(h), dominating(h),
+                gen_ind(h, forest), gen_span(h, connected))
+
+    g = make_family(parse_family_spec(spec))
+    expect = sweeps(g)
+    rng = random.Random(spec)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert sweeps(relabel(g, perm)) == expect
 
 
 class TestDominating:
