@@ -74,7 +74,6 @@ from .recurrence import (
     verify,
 )
 from .dpower import (
-    InvariantHandle,
     compare,
     dom_inexpressibility_suite,
     evaluate_handle,

@@ -338,14 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True,
                    choices=["incomparability", "dom", "sdp-complement",
                             "identities"])
-    p.add_argument("--variant", default=None,
-                   choices=["ind", "span", "genchrom"])
+    p.add_argument("--variant", default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--prop", default=None)
-    p.add_argument("--kind", default=None,
-                   choices=["ind", "span", "genchrom"])
+    p.add_argument("--kind", default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--bipartite-max", type=int, default=5)

@@ -8,6 +8,11 @@ subset of all pairs, a refutation found in s.d.p. mode is automatically a
 d.p. refutation, and a d.p. no-refutation forces an s.d.p. no-refutation.
 check_dp_sdp_implication asserts that implication by running both scans.
 
+An invariant handle is a PolyKind: a polynomial kind, or kind "prop" for a
+property read as 0/1.  Values are cached in a dict (handle key, graph) ->
+value that the caller owns, or that compare makes for one scan and
+check_dp_sdp_implication for its two.
+
 All verdicts are relative to the scanned universe: isomorphism classes up
 to the given order bound, ordered by (order, canonical form).  Refutations
 come with the lexicographically first witness pair and are re-verified by
@@ -40,6 +45,7 @@ from .graph import (
     tailed_cycle,
 )
 from .invariants import (
+    PROPERTY_KINDS,
     PolyKind,
     compute_poly,
     dominating,
@@ -61,46 +67,23 @@ from .properties import (
 # ------------------------------------------------------------ handles
 
 
-@dataclass(frozen=True)
-class InvariantHandle:
-    """A graph invariant: a polynomial kind, or a property as 0/1 value."""
-
-    kind: str
-    prop: GraphProperty | None = None
-
-    def label(self) -> str:
-        if self.prop is None:
-            return self.kind
-        return f"{self.kind}:{self.prop.name}"
-
-    def key(self):
-        return (self.kind, self.prop.key() if self.prop else None)
-
-
-def parse_handle(text: str) -> InvariantHandle:
+def parse_handle(text: str) -> PolyKind:
     if text.startswith("prop:"):
-        return InvariantHandle("prop", parse_property(text[len("prop:"):]))
-    pk = parse_poly_kind(text)
-    return InvariantHandle(pk.kind, pk.prop)
+        return PolyKind("prop", parse_property(text[len("prop:"):]))
+    return parse_poly_kind(text)
 
 
-_shared_cache: dict = {}
-
-
-def evaluate_handle(handle: InvariantHandle, g: Graph,
-                    caps: Caps = DEFAULT_CAPS, cache: dict | None = None):
+def evaluate_handle(handle: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS,
+                    cache: dict | None = None):
     """Value of the handle on g; isomorphic inputs give equal values."""
     if handle.kind == "prop":
-        assert handle.prop is not None
         return 1 if handle.prop.holds(g) else 0
     if cache is None:
-        cache = _shared_cache
+        return compute_poly(handle, g, caps)
     key = (handle.key(), g)
-    value = cache.get(key)
-    if value is None:
-        value = compute_poly(PolyKind(handle.kind, handle.prop), g, caps)
-        cache[key] = value
-    return value
+    if key not in cache:
+        cache[key] = compute_poly(handle, g, caps)
+    return cache[key]
 
 
 # ------------------------------------------------------------ comparison
@@ -160,24 +143,23 @@ def _direction(universe, vals_p, vals_q, sigs, mode) -> DirectionVerdict:
 
 def _reverify(witness, p, q, mode, caps) -> None:
     g1, g2 = witness
-    if evaluate_handle(q, g1, caps, cache={}) != evaluate_handle(
-            q, g2, caps, cache={}):
+    if evaluate_handle(q, g1, caps) != evaluate_handle(q, g2, caps):
         raise ValueError("witness failed re-verification: values differ "
                          "under the coarser invariant")
-    if evaluate_handle(p, g1, caps, cache={}) == evaluate_handle(
-            p, g2, caps, cache={}):
+    if evaluate_handle(p, g1, caps) == evaluate_handle(p, g2, caps):
         raise ValueError("witness failed re-verification: values agree "
                          "under the finer invariant")
     if mode == "sdp" and not similar(g1, g2):
         raise ValueError("witness failed re-verification: pair not similar")
 
 
-def compare(p: InvariantHandle, q: InvariantHandle, mode: str, n_bound: int,
+def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
             caps: Caps = DEFAULT_CAPS,
             cache: dict | None = None) -> ComparisonReport:
     """Scan all class pairs (dp) or all similar pairs (sdp) up to the bound."""
     if mode not in ("dp", "sdp"):
         raise InputError(f"mode must be dp or sdp, got {mode!r}")
+    cache = {} if cache is None else cache
     universe = graphs_up_to(n_bound, cap=caps.enum_n)
     vals_p = [evaluate_handle(p, g, caps, cache) for g in universe]
     vals_q = [evaluate_handle(q, g, caps, cache) for g in universe]
@@ -205,9 +187,10 @@ class ImplicationReport:
         return ok_fwd and ok_bwd
 
 
-def check_dp_sdp_implication(p: InvariantHandle, q: InvariantHandle,
+def check_dp_sdp_implication(p: PolyKind, q: PolyKind,
                              n_bound: int, caps: Caps = DEFAULT_CAPS,
                              cache: dict | None = None) -> ImplicationReport:
+    cache = {} if cache is None else cache
     dp = compare(p, q, "dp", n_bound, caps, cache)
     sdp = compare(p, q, "sdp", n_bound, caps, cache)
     return ImplicationReport(dp=dp, sdp=sdp)
@@ -345,7 +328,7 @@ def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
     tailed cycle has degree 1 and can never sit inside a block inducing a
     cycle, so every cross value vanishes outright.
     """
-    if variant not in ("ind", "span", "genchrom"):
+    if variant not in PROPERTY_KINDS:
         raise InputError(f"unknown suite variant {variant!r}")
     if k < 2:
         raise InputError("the gadgets need k >= 2 copies to differ")
@@ -361,12 +344,7 @@ def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
     pair_j = _gadget_pair(j, k)
 
     def value(prop: GraphProperty, g: Graph) -> UniPoly:
-        if variant == "ind":
-            return gen_ind(g, prop, cap_n=caps.subset_n)
-        if variant == "span":
-            return gen_span(g, prop, cap_m=caps.subset_m)
-        from .invariants import gen_chromatic
-        return gen_chromatic(g, prop, cap_partition=caps.partition_n)
+        return compute_poly(PolyKind(variant, prop), g, caps)
 
     checks = []
     for tag, prop_own, prop_other, idx, pair in (
@@ -427,7 +405,7 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
     the scan runs unrestricted (dp), where complementary properties do get
     separated; connected versus disconnected is the classical case.
     """
-    if kind not in ("ind", "span", "genchrom"):
+    if kind not in PROPERTY_KINDS:
         raise InputError(f"kind must be ind, span or genchrom, got {kind!r}")
     closure_note = None
     if kind == "span":
@@ -443,8 +421,8 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
         closure_note = f"closure under isolated vertices verified up to " \
                        f"order {status.bound}"
     mode = "sdp" if kind in ("ind", "span") else "dp"
-    p = InvariantHandle(kind, c)
-    q = InvariantHandle(kind, complement_property(c))
+    p = PolyKind(kind, c)
+    q = PolyKind(kind, complement_property(c))
     report = compare(p, q, mode, n_bound, caps, cache)
     return ComplementCheckReport(prop_name=c.name, kind=kind, mode=mode,
                                  closure_note=closure_note, report=report)

@@ -5,6 +5,11 @@ per vertex.  Instances are immutable values; build them through make_graph,
 the family constructors, or the surgery helpers, all of which keep the
 adjacency symmetric and irreflexive.
 
+FAMILIES is the one registry of named families (builder, index count,
+least index, order).  Parsing, make_family and family_member (the k-th
+member, along the diagonal for two indices) read it; make_family and
+parse_graph refuse orders above MAX_ORDER before allocating anything.
+
 Isomorphism testing is an exact backtracking search with degree-profile
 pruning.  canonical_form returns the lexicographically minimal adjacency
 bit string over all relabellings (upper triangle, read column by column),
@@ -18,9 +23,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .caps import DEFAULT_CAPS
 from .errors import CapError, InputError
+
+# the largest order a graph file, a family or an ortho index may ask for,
+# checked before anything of that size is allocated
+MAX_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -223,8 +233,6 @@ def add_isolated_vertex(g: Graph) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"path needs n >= 1, got {n}")
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -235,15 +243,11 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"clique needs n >= 1, got {n}")
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def empty_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"empty graph needs n >= 1, got {n}")
-    return Graph(n, (0,) * n)
+    return make_graph(n, ())
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -317,17 +321,36 @@ def tailed_cycle(i: int) -> Graph:
 
 
 @dataclass(frozen=True)
+class Family:
+    """A registered family: builder, index count, least index, order."""
+
+    build: Callable[..., Graph]
+    arity: int
+    least: int
+    order: Callable[..., int]
+
+
+FAMILIES = {
+    "path": Family(path_graph, 1, 1, lambda n: n),
+    "cycle": Family(cycle_graph, 1, 3, lambda n: n),
+    "clique": Family(complete_graph, 1, 1, lambda n: n),
+    "empty": Family(empty_graph, 1, 1, lambda n: n),
+    "wheel": Family(wheel_graph, 1, 3, lambda n: n + 1),
+    "ladder": Family(ladder_graph, 1, 3, lambda n: 2 * n),
+    "mobius": Family(mobius_graph, 1, 2, lambda n: 2 * n),
+    "cyclesq": Family(cycle_square_graph, 1, 3, lambda n: n),
+    "cbipartite": Family(complete_bipartite, 2, 1, lambda a, b: a + b),
+    "grid": Family(grid_graph, 2, 1, lambda a, b: a * b),
+}
+
+
+@dataclass(frozen=True)
 class FamilySpec:
     """Parsed family expression: a named family or a du(...) union."""
 
     name: str
     params: tuple[int, ...] = ()
     parts: tuple["FamilySpec", ...] = ()
-
-
-_ONE_PARAM = {"path", "cycle", "clique", "empty", "wheel", "ladder",
-              "mobius", "cyclesq"}
-_TWO_PARAM = {"cbipartite", "grid"}
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -362,46 +385,49 @@ def parse_family_spec(text: str) -> FamilySpec:
         return FamilySpec("du", parts=parts)
     name, sep, rest = text.partition(":")
     name = name.strip()
-    if name in _ONE_PARAM:
-        if not sep or not rest:
-            raise InputError(f"family {name!r} needs one index, e.g. {name}:5")
-        try:
-            k = int(rest)
-        except ValueError:
-            raise InputError(f"bad index {rest!r} for family {name!r}") from None
-        return FamilySpec(name, (k,))
-    if name in _TWO_PARAM:
-        raw = rest.replace("x", ",")
-        pieces = raw.split(",")
-        if not sep or len(pieces) != 2:
-            raise InputError(
-                f"family {name!r} needs two indices, e.g. {name}:3,4")
-        try:
-            a, b = int(pieces[0]), int(pieces[1])
-        except ValueError:
-            raise InputError(f"bad indices {rest!r} for family {name!r}") from None
-        return FamilySpec(name, (a, b))
-    raise InputError(f"unknown graph family {name!r}")
+    arity = get_family(name).arity
+    pieces = rest.replace("x", ",").split(",")
+    if not sep or not rest or len(pieces) != arity:
+        need = ("one index, e.g. {}:5" if arity == 1
+                else "two indices, e.g. {}:3,4")
+        raise InputError(f"family {name!r} needs " + need.format(name))
+    try:
+        return FamilySpec(name, tuple(int(p) for p in pieces))
+    except ValueError:
+        raise InputError(f"bad index {rest!r} for family {name!r}") from None
 
 
-_BUILDERS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "clique": complete_graph,
-    "empty": empty_graph,
-    "wheel": wheel_graph,
-    "ladder": ladder_graph,
-    "mobius": mobius_graph,
-    "cyclesq": cycle_square_graph,
-    "cbipartite": complete_bipartite,
-    "grid": grid_graph,
-}
+def get_family(name: str) -> Family:
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise InputError(f"unknown graph family {name!r}")
+    return fam
+
+
+def family_order(spec: FamilySpec) -> int:
+    """Order of the graph a spec builds, read off the registry."""
+    if spec.name == "du":
+        return sum(family_order(p) for p in spec.parts)
+    fam = get_family(spec.name)
+    if min(spec.params) < fam.least:
+        raise InputError(f"family {spec.name!r} needs indices >= {fam.least}, "
+                         f"got {family_label(spec)}")
+    return fam.order(*spec.params)
 
 
 def make_family(spec: FamilySpec) -> Graph:
+    n = family_order(spec)
+    if n > MAX_ORDER:
+        raise CapError(f"family {family_label(spec)} has order {n}, over "
+                       f"the bound of {MAX_ORDER}")
     if spec.name == "du":
         return disjoint_union(make_family(p) for p in spec.parts)
-    return _BUILDERS[spec.name](*spec.params)
+    return FAMILIES[spec.name].build(*spec.params)
+
+
+def family_member(name: str, k: int) -> Graph:
+    """The k-th member; a two-index family runs along its diagonal."""
+    return make_family(FamilySpec(name, (k,) * get_family(name).arity))
 
 
 def family_note(spec: FamilySpec) -> list[str]:
@@ -445,6 +471,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InputError("graph header must be 'n m'") from None
+    if n > MAX_ORDER:
+        raise CapError(f"graph order {n} is over the bound of {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise InputError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -65,6 +65,9 @@ few dozen vertices stay in range.  The transition sets:
 The last three take or skip each vertex and count vertex subsets by size.
 A sweep raises CapError once it holds more than max_states states, naming
 the sweep, the state count, the step and the cap.
+
+The table _KINDS holds every PolyKind name, whether it takes a property,
+and its computation; parse_poly_kind and compute_poly read nothing else.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ from .properties import (
     _is_edgeless,
     _is_forest,
     builtin,
+    parse_property,
 )
 
 # ------------------------------------------------------------ characteristic
@@ -490,23 +494,22 @@ def _rank_nullity_counts(g: Graph, max_states: int = 500_000
 
 
 def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
-    """Whitney rank sum over all edge subsets, from the frontier sweep."""
-    rank_full = g.n - len(component_masks(g))
-    counts = {(rank_full - r, b): ways for (r, b), ways
-              in _rank_nullity_counts(g, max_states).items()}
+    """Whitney rank sum over all edge subsets, from the frontier sweep.
 
-    max_a = max((a for a, _ in counts), default=0)
-    max_b = max((b for _, b in counts), default=0)
-    xm1 = [BiPoly.one()]
-    for _ in range(max_a):
-        xm1.append(xm1[-1] * (BiPoly.x() - BiPoly.one()))
-    ym1 = [BiPoly.one()]
-    for _ in range(max_b):
-        ym1.append(ym1[-1] * (BiPoly.y() - BiPoly.one()))
-    total = BiPoly.zero()
-    for (a, b), cnt in sorted(counts.items()):
-        total = total + xm1[a] * ym1[b] * cnt
-    return total
+    The cnt subsets of corank a and nullity b add cnt (X-1)^a (Y-1)^b,
+    summed term by term into the coefficient grid.
+    """
+    m = edge_count(g)
+    rank_full = g.n - len(component_masks(g))
+    signed = [[math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)]
+              for k in range(m + 1)]
+    grid = [[0] * (m + 1) for _ in range(rank_full + 1)]
+    for (r, b), cnt in _rank_nullity_counts(g, max_states).items():
+        for i, ci in enumerate(signed[rank_full - r]):
+            row = grid[i]
+            for j, cj in enumerate(signed[b]):
+                row[j] += cnt * ci * cj
+    return BiPoly(grid)
 
 
 # ------------------------------------------------------------ vertex sweeps
@@ -631,54 +634,48 @@ class PolyKind:
             return self.kind
         return f"{self.kind}:{self.prop.name}"
 
+    def key(self):
+        return (self.kind, self.prop.key() if self.prop else None)
 
-UNIVARIATE_KINDS = ("char", "charL", "mu", "mgen", "chrom", "indep",
-                    "dom", "maxcl", "ind", "span", "genchrom")
+
 BIVARIATE_KINDS = ("tutte",)
+
+# kind -> (takes a property, computation).  The computations look their
+# functions up when called, so a rebound module name reaches them.
+_KINDS = {
+    "char": (False, lambda g, c, cap: char_poly(g, "adjacency")),
+    "charL": (False, lambda g, c, cap: char_poly(g, "laplacian")),
+    "mu": (False, lambda g, c, cap: matching_defect(g, cap.subset_n)),
+    "mgen": (False, lambda g, c, cap: matching_generating(g, cap.subset_n)),
+    "chrom": (False, lambda g, c, cap: chromatic(g)),
+    "indep": (False, lambda g, c, cap: independence(g, cap.subset_n)),
+    "dom": (False, lambda g, c, cap: dominating(g, cap.subset_n)),
+    "maxcl": (False,
+              lambda g, c, cap: maximal_clique_profile(g, cap.subset_n)),
+    "tutte": (False, lambda g, c, cap: tutte(g)),
+    "ind": (True, lambda g, c, cap: gen_ind(g, c, cap.subset_n)),
+    "span": (True, lambda g, c, cap: gen_span(g, c, cap.subset_m)),
+    "genchrom": (True, lambda g, c, cap: gen_chromatic(g, c, cap.partition_n)),
+}
+PROPERTY_KINDS = tuple(kind for kind, (takes, _) in _KINDS.items() if takes)
 
 
 def parse_poly_kind(text: str) -> PolyKind:
-    from .properties import parse_property
-
     head, sep, rest = text.partition(":")
-    if head in ("ind", "span", "genchrom"):
-        if not sep or not rest:
-            raise InputError(f"kind {head!r} needs a property, e.g. {head}:edgeless")
-        return PolyKind(head, parse_property(rest))
-    if sep:
-        raise InputError(f"kind {head!r} takes no property parameter")
-    if head in UNIVARIATE_KINDS or head in BIVARIATE_KINDS:
+    if head not in _KINDS:
+        raise InputError(f"unknown polynomial kind {text!r}")
+    if not _KINDS[head][0]:
+        if sep:
+            raise InputError(f"kind {head!r} takes no property parameter")
         return PolyKind(head)
-    raise InputError(f"unknown polynomial kind {text!r}")
+    if not rest:
+        raise InputError(
+            f"kind {head!r} needs a property, e.g. {head}:edgeless")
+    return PolyKind(head, parse_property(rest))
 
 
 def compute_poly(pk: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS):
     """Dispatch a PolyKind to its computation; UniPoly or BiPoly."""
-    if pk.kind == "char":
-        return char_poly(g, "adjacency")
-    if pk.kind == "charL":
-        return char_poly(g, "laplacian")
-    if pk.kind == "mu":
-        return matching_defect(g, cap_n=caps.subset_n)
-    if pk.kind == "mgen":
-        return matching_generating(g, cap_n=caps.subset_n)
-    if pk.kind == "chrom":
-        return chromatic(g)
-    if pk.kind == "indep":
-        return independence(g, cap_n=caps.subset_n)
-    if pk.kind == "dom":
-        return dominating(g, cap_n=caps.subset_n)
-    if pk.kind == "maxcl":
-        return maximal_clique_profile(g, cap_n=caps.subset_n)
-    if pk.kind == "tutte":
-        return tutte(g)
-    if pk.kind == "ind":
-        assert pk.prop is not None
-        return gen_ind(g, pk.prop, cap_n=caps.subset_n)
-    if pk.kind == "span":
-        assert pk.prop is not None
-        return gen_span(g, pk.prop, cap_m=caps.subset_m)
-    if pk.kind == "genchrom":
-        assert pk.prop is not None
-        return gen_chromatic(g, pk.prop, cap_partition=caps.partition_n)
-    raise InputError(f"unknown polynomial kind {pk.kind!r}")
+    if pk.kind not in _KINDS:
+        raise InputError(f"unknown polynomial kind {pk.kind!r}")
+    return _KINDS[pk.kind][1](g, pk.prop, caps)

@@ -10,19 +10,24 @@ Each generator follows the standard three-term recurrence:
   (n+1) L_{n+1} = (2n + 1 - X) L_n - n L_{n-1}
 
 Laguerre coefficients are genuinely rational: L_2 = (X^2 - 4X + 2)/2.
+Indices above graph.MAX_ORDER raise CapError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import CapError, InputError
+from .graph import MAX_ORDER
 from .poly import UniPoly
 
 
 def _check_index(n: int) -> None:
     if n < 0:
         raise InputError(f"polynomial index must be nonnegative, got {n}")
+    if n > MAX_ORDER:
+        raise CapError(
+            f"polynomial index {n} is over the bound of {MAX_ORDER}")
 
 
 def chebyshev_t(n: int) -> UniPoly:

@@ -45,10 +45,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 class UniPoly:
     """Dense univariate polynomial over Q, immutable.
 

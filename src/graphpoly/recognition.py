@@ -7,11 +7,12 @@ Four entry points:
   chromatic kinds are monic of degree n, so the query's degree pins the
   order and the scan stays within a single order; other kinds need an
   explicit bound.
-* family_recognize inverts the degree-to-index map of a one-parameter
-  family and checks the single candidate member.  A hit means "equal
-  polynomial value"; reading it as "isomorphic to the family member"
-  additionally assumes the family is recognizable from this polynomial,
-  and the result carries that assumption as a flag rather than a claim.
+* family_recognize counts up from the family's least index to the member
+  whose order is the query's degree (two-index families run along their
+  diagonal) and checks that member.  A hit means "equal polynomial
+  value"; reading it as "isomorphic to the family member" additionally
+  assumes the family is recognizable from this polynomial, and the
+  result carries that assumption as a flag rather than a claim.
 * check_p_unique searches for a non-isomorphic graph with the same value.
 * identity_suite and chromatic_screen package the matching-polynomial
   identities against the classical orthogonal families and the cheap
@@ -31,6 +32,8 @@ from .graph import (
     complete_graph,
     disjoint_union,
     enumerate_graphs,
+    family_member,
+    get_family,
     is_isomorphic,
 )
 from .invariants import (
@@ -44,20 +47,6 @@ from .orthopoly import chebyshev_t, chebyshev_u, hermite_he, laguerre
 from .poly import UniPoly
 
 DEGREE_FORCED_KINDS = ("char", "charL", "mu", "chrom")
-
-# degree of the polynomial -> family index, None when no member fits
-_FAMILY_INDEX = {
-    "path": lambda d: d if d >= 1 else None,
-    "cycle": lambda d: d if d >= 3 else None,
-    "clique": lambda d: d if d >= 1 else None,
-    "empty": lambda d: d if d >= 1 else None,
-    "wheel": lambda d: d - 1 if d >= 4 else None,
-    "cbipartite": lambda d: d // 2 if d >= 2 and d % 2 == 0 else None,
-    "ladder": lambda d: d // 2 if d >= 6 and d % 2 == 0 else None,
-    "mobius": lambda d: d // 2 if d >= 4 and d % 2 == 0 else None,
-    "cyclesq": lambda d: d if d >= 3 else None,
-}
-
 
 @dataclass(frozen=True)
 class RecognitionResult:
@@ -129,26 +118,19 @@ def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
 def family_recognize(p: UniPoly, poly_kind, family: str,
                      caps: Caps = DEFAULT_CAPS) -> FamilyRecognition:
     """Check the one family member whose order matches the query degree."""
-    from .graph import make_family, parse_family_spec
-
     pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     if pk.kind not in DEGREE_FORCED_KINDS:
         raise InputError(
             f"kind {pk.label()!r} does not force the order from the degree")
-    index_map = _FAMILY_INDEX.get(family)
-    if index_map is None:
-        raise InputError(f"no degree map for family {family!r}")
-    result = FamilyRecognition(index=None, family=family, kind=pk.label())
-    order = _query_order(p)
-    if order is None:
-        return result
-    idx = index_map(order)
-    if idx is None:
-        return result
-    g = make_family(parse_family_spec(f"{family}:{idx}"))
-    if compute_poly(pk, g, caps) == p:
-        return FamilyRecognition(index=idx, family=family, kind=pk.label())
-    return result
+    fam = get_family(family)
+    order = _query_order(p) or 0
+    idx = fam.least
+    while (n := fam.order(*(idx,) * fam.arity)) < order:
+        idx += 1
+    found = n == order and compute_poly(
+        pk, family_member(family, idx), caps) == p
+    return FamilyRecognition(index=idx if found else None, family=family,
+                             kind=pk.label())
 
 
 def check_p_unique(g: Graph, poly_kind, n_bound: int,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
-from .graph import family_label, make_family, parse_family_spec
+from .graph import family_member
 from .invariants import BIVARIATE_KINDS, PolyKind, compute_poly, parse_poly_kind
 from .poly import UniPoly, solve_linear_exact
 
@@ -228,17 +228,13 @@ def parse_family_range(text: str) -> tuple[str, int, int]:
 
 def family_sequence(pk: PolyKind, family: str, n_from: int, n_to: int,
                     caps: Caps = DEFAULT_CAPS) -> PolySequence:
-    """Polynomial values of one kind along a one-parameter family."""
+    """Polynomial values of one kind along a family, by member index."""
     if pk.kind in BIVARIATE_KINDS:
         raise InputError("recurrence fitting works on univariate kinds only")
-    terms = []
-    label = ""
-    for i in range(n_from, n_to + 1):
-        spec = parse_family_spec(f"{family}:{i}")
-        terms.append(compute_poly(pk, make_family(spec), caps))
-        if not label:
-            label = f"{pk.label()}|{family_label(spec).rsplit(':', 1)[0]}"
-    return PolySequence(base_index=n_from, terms=tuple(terms), label=label)
+    terms = tuple(compute_poly(pk, family_member(family, i), caps)
+                  for i in range(n_from, n_to + 1))
+    return PolySequence(base_index=n_from, terms=terms,
+                        label=f"{pk.label()}|{family}")
 
 
 def fit_family(poly_kind, family: str, n_from: int, n_to: int,

@@ -94,6 +94,13 @@ class TestFit:
         assert code == 0
         assert rep["found"] is False
 
+    def test_two_index_family_runs_along_the_diagonal(self, capsys):
+        code, rep = run_cli(capsys, "fit", "--poly", "mu",
+                            "--family", "cbipartite:1..8",
+                            "--max-order", "2", "--max-deg", "2")
+        assert code == 0
+        assert rep["terms"] == 8
+
 
 class TestRecognize:
     def test_brute(self, capsys, tmp_path):
@@ -114,6 +121,15 @@ class TestRecognize:
         assert code == 0
         assert rep["index"] == 5
         assert rep["uniqueness_assumed"] is True
+
+    def test_family_route_complete_bipartite(self, capsys, tmp_path):
+        path = tmp_path / "k33.txt"
+        path.write_text("-6 0 18 0 -9 0 1\n")   # mu(K_{3,3})
+        code, rep = run_cli(capsys, "recognize", "--poly", "mu",
+                            "--input", str(path), "--family", "cbipartite")
+        assert code == 0
+        assert rep["found"] is True
+        assert rep["index"] == 3
 
 
 class TestSuites:
@@ -190,6 +206,18 @@ class TestDeterminismAndErrors:
     def test_cap_error_exit_3(self, capsys):
         code = main(["enumerate", "--n", "9"])
         assert code == 3
+
+    def test_order_bound_exit_3(self, capsys, tmp_path):
+        from graphpoly.graph import MAX_ORDER
+        path = tmp_path / "big.txt"
+        path.write_text(f"{MAX_ORDER + 1} 0\n")
+        for argv in (["compute", "--poly", "mu", "--graph", str(path)],
+                     ["compute", "--poly", "mu",
+                      "--graph", f"family:cycle:{MAX_ORDER + 1}"],
+                     ["ortho", "--family", "T", "--n", str(MAX_ORDER + 1)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert str(MAX_ORDER + 1) in err and str(MAX_ORDER) in err
 
     def test_cap_override(self, capsys):
         code = main(["compute", "--poly", "indep",

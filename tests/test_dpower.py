@@ -2,6 +2,7 @@
 
 import pytest
 
+import graphpoly.dpower
 from graphpoly.dpower import (
     check_dp_sdp_implication,
     compare,
@@ -23,11 +24,13 @@ from graphpoly.graph import (
     edge_count,
     empty_graph,
     enumerate_graphs,
+    graphs_up_to,
     is_isomorphic,
     path_graph,
     relabel,
     similar,
 )
+from graphpoly.invariants import PolyKind, parse_poly_kind
 from graphpoly.poly import UniPoly
 from graphpoly.properties import builtin, parse_property
 
@@ -63,6 +66,33 @@ class TestHandles:
         h = parse_handle("prop:connected")
         assert evaluate_handle(h, path_graph(3)) == 1
         assert evaluate_handle(h, empty_graph(3)) == 0
+
+    def test_handles_are_poly_kinds(self):
+        assert parse_handle("chrom") == parse_poly_kind("chrom")
+        assert parse_handle("ind:forest") == parse_poly_kind("ind:forest")
+        assert parse_handle("prop:connected") \
+            == PolyKind("prop", parse_property("connected"))
+
+
+class TestCaches:
+    def test_compare_fills_the_cache_it_is_given(self):
+        p, q = parse_handle("chrom"), parse_handle("prop:connected")
+        cache = {}
+        compare(p, q, "dp", 4, cache=cache)
+        assert set(cache) == {(p.key(), g) for g in graphs_up_to(4)}
+
+    def test_implication_scans_share_one_cache(self):
+        p, q = parse_handle("chrom"), parse_handle("indep")
+        cache = {}
+        check_dp_sdp_implication(p, q, 4, cache=cache)
+        assert len(cache) == 2 * len(graphs_up_to(4))
+
+    def test_no_module_level_mutable_state(self):
+        compare(parse_handle("chrom"), parse_handle("indep"), "dp", 4)
+        held = [name for name, value in vars(graphpoly.dpower).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")]
+        assert held == []
 
 
 class TestCompare:

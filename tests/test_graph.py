@@ -6,6 +6,9 @@ import pytest
 
 from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
+    FAMILIES,
+    MAX_ORDER,
+    FamilySpec,
     canonical_form,
     complement_graph,
     complete_bipartite,
@@ -18,6 +21,7 @@ from graphpoly.graph import (
     empty_graph,
     enumerate_graphs,
     family_label,
+    family_member,
     family_note,
     format_graph,
     graphs_up_to,
@@ -112,7 +116,8 @@ class TestFamilies:
 
     def test_index_bounds(self):
         for bad in ("path:0", "cycle:2", "wheel:2", "ladder:2", "mobius:1",
-                    "cyclesq:2", "clique:0"):
+                    "cyclesq:2", "clique:0", "empty:0", "grid:0x3",
+                    "cbipartite:2,-1", "grid:-40x-40"):
             with pytest.raises(InputError):
                 fam(bad)
 
@@ -152,6 +157,37 @@ class TestFamilies:
     def test_tailed_cycle_needs_room_for_the_cycle(self):
         with pytest.raises(InputError):
             tailed_cycle(3)
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_order_and_label_round_trip(self, name):
+        row = FAMILIES[name]
+        for k in range(row.least, row.least + 4):
+            spec = FamilySpec(name, (k,) * row.arity)
+            assert row.order(*spec.params) == make_family(spec).n
+            assert parse_family_spec(family_label(spec)) == spec
+
+    def test_member_runs_along_the_diagonal(self):
+        assert is_isomorphic(family_member("cbipartite", 3),
+                             complete_bipartite(3, 3))
+        assert is_isomorphic(family_member("grid", 3), grid_graph(3, 3))
+        assert is_isomorphic(family_member("wheel", 5), fam("wheel:5"))
+
+
+class TestOrderBound:
+    def test_graph_header_over_the_bound(self):
+        with pytest.raises(CapError, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):
+            parse_graph(f"{MAX_ORDER + 1} 0\n")
+        assert parse_graph(f"{MAX_ORDER} 0\n").n == MAX_ORDER
+
+    def test_family_over_the_bound(self):
+        for text, n in ((f"path:{MAX_ORDER + 1}", MAX_ORDER + 1),
+                        ("grid:33x32", 33 * 32),
+                        (f"ladder:{MAX_ORDER // 2 + 1}", MAX_ORDER + 2),
+                        (f"du(path:{MAX_ORDER},path:1)", MAX_ORDER + 1)):
+            with pytest.raises(CapError, match=f"order {n}, .*{MAX_ORDER}"):
+                fam(text)
 
 
 class TestSurgery:

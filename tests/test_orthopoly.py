@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from graphpoly.errors import InputError
+from graphpoly.errors import CapError, InputError
+from graphpoly.graph import MAX_ORDER
 from graphpoly.orthopoly import chebyshev_t, chebyshev_u, hermite_he, laguerre, ortho
 from graphpoly.poly import UniPoly
 
@@ -84,3 +85,9 @@ class TestOrtho:
     def test_negative_index(self):
         with pytest.raises(InputError):
             ortho("T", -1)
+
+
+def test_index_over_the_order_bound():
+    for gen in (chebyshev_t, chebyshev_u):
+        with pytest.raises(CapError, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):
+            gen(MAX_ORDER + 1)

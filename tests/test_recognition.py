@@ -119,6 +119,20 @@ class TestFamilyRecognize:
                 brute = brute_recognize(p, pk)
                 assert any(is_isomorphic(g, h) for h in brute.matches)
 
+    def test_two_index_families_agree_with_brute(self):
+        pk = parse_poly_kind("mu")
+        cases = [("cbipartite", k, complete_bipartite(k, k))
+                 for k in (1, 2, 3)] + [("grid", 2, cycle_graph(4))]
+        for family, k, g in cases:
+            p = compute_poly(pk, g)
+            assert family_recognize(p, pk, family).index == k, (family, k)
+            brute = brute_recognize(p, pk)
+            assert any(is_isomorphic(g, h) for h in brute.matches)
+
+    def test_unknown_family(self):
+        with pytest.raises(InputError):
+            family_recognize(hermite_he(3), parse_poly_kind("mu"), "torus")
+
 
 class TestUniqueness:
     def test_cycle_defect_unique(self):

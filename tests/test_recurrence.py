@@ -3,7 +3,8 @@
 import pytest
 
 from graphpoly.errors import InputError
-from graphpoly.invariants import parse_poly_kind
+from graphpoly.graph import complete_bipartite, grid_graph
+from graphpoly.invariants import char_poly, parse_poly_kind
 from graphpoly.orthopoly import chebyshev_t, chebyshev_u
 from graphpoly.poly import UniPoly
 from graphpoly.recurrence import (
@@ -229,6 +230,14 @@ class TestFamilyPlumbing:
         assert seq.base_index == 1
         assert seq.label == "char|path"
         assert len(seq.terms) == 8
+
+    def test_two_index_families_run_along_the_diagonal(self):
+        seq = char_seq("cbipartite", 1, 4)
+        assert seq.label == "char|cbipartite"
+        assert seq.terms == tuple(char_poly(complete_bipartite(k, k))
+                                  for k in range(1, 5))
+        assert char_seq("grid", 2, 3).terms == (char_poly(grid_graph(2, 2)),
+                                                char_poly(grid_graph(3, 3)))
 
     def test_bivariate_kind_rejected(self):
         with pytest.raises(InputError):
