@@ -411,8 +411,7 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
     if kind == "span":
         status = c.closure_isolated
         if status.state == "undeclared":
-            status = check_closed_isolated(c, bound=n_bound,
-                                           cap=caps.subset_n)
+            status = check_closed_isolated(c, bound=n_bound, cap=caps.enum_n)
             c = with_closure(c, status)
         if status.state == "refuted":
             raise InputError(

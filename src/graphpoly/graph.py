@@ -101,24 +101,26 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u] >> v & 1)
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components, by least vertex."""
-    seen = 0
+def components(adj, mask: int) -> list[int]:
+    """Vertex bitmasks of the components that mask induces, by least vertex."""
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
+    while mask:
         comp = 0
-        frontier = 1 << v
+        frontier = mask & -mask
         while frontier:
             comp |= frontier
             nxt = 0
             for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-        seen |= comp
+                nxt |= adj[u]
+            frontier = nxt & mask & ~comp
+        mask ^= comp
         out.append(comp)
     return out
+
+
+def component_masks(g: Graph) -> list[int]:
+    """Vertex bitmasks of the connected components, by least vertex."""
+    return components(g.adj, (1 << g.n) - 1)
 
 
 def component_count(g: Graph) -> int:

@@ -12,7 +12,7 @@ exact rationals or integers:
   empty subset contributes X^0 exactly when C contains the null graph.
   independence is the edgeless instance.  The builtin edgeless and forest
   classes are counted by the frontier engine (below); other classes test
-  the induced graph of all 2^n subsets.
+  all 2^n vertex masks.
 * gen_span(G, D) = sum of X^|B| over edge subsets B with (V, B) in D.
   For the builtin forest, connected and disconnected classes membership
   depends only on the rank and nullity of B, so these read the counts of
@@ -84,7 +84,6 @@ from .graph import (
     component_masks,
     edge_count,
     edge_list,
-    induced_from_mask,
 )
 from .poly import (
     BiPoly,
@@ -94,15 +93,7 @@ from .poly import (
     int_determinant,
     interpolate,
 )
-from .properties import (
-    GraphProperty,
-    _is_connected,
-    _is_disconnected,
-    _is_edgeless,
-    _is_forest,
-    builtin,
-    parse_property,
-)
+from .properties import GraphProperty, builtin, parse_property
 
 # ------------------------------------------------------------ characteristic
 
@@ -189,7 +180,7 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
     The builtin edgeless and forest classes run a frontier sweep (below);
-    every other class tests the induced graph of all 2^n subsets.
+    every other class tests all 2^n vertex masks.
     """
     cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
     if g.n > cap_n:
@@ -200,7 +191,7 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
     else:
         counts = [0] * (g.n + 1)
         for mask in range(1, 1 << g.n):
-            if c.holds(induced_from_mask(g, mask)):
+            if c.holds(g, mask):
                 counts[mask.bit_count()] += 1
     counts[0] = 1 if c.contains_null else 0
     return UniPoly(counts)
@@ -213,9 +204,9 @@ def independence(g: Graph, cap_n: int | None = None,
 
 # builtin spanning classes decided by (n, rank, nullity) of the edge subset
 _SPAN_BY_RANK_NULLITY = {
-    _is_forest: lambda n, r, b: b == 0,
-    _is_connected: lambda n, r, b: r == n - 1,
-    _is_disconnected: lambda n, r, b: r <= n - 2,
+    builtin("forest").predicate: lambda n, r, b: b == 0,
+    builtin("connected").predicate: lambda n, r, b: r == n - 1,
+    builtin("disconnected").predicate: lambda n, r, b: r <= n - 2,
 }
 
 
@@ -277,7 +268,7 @@ def gen_chromatic_blocks(g: Graph, c: GraphProperty,
     full = (1 << n) - 1
     valid_by_low: dict[int, list[int]] = {}
     for mask in range(1, full + 1):
-        if c.holds(induced_from_mask(g, mask)):
+        if c.holds(g, mask):
             valid_by_low.setdefault(mask & -mask, []).append(mask)
 
     memo: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -562,8 +553,8 @@ def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
 
 # builtin induced classes that a vertex sweep counts directly
 _IND_BY_SWEEP = {
-    _is_edgeless: _independent_counts,
-    _is_forest: _induced_forest_counts,
+    builtin("edgeless").predicate: _independent_counts,
+    builtin("forest").predicate: _induced_forest_counts,
 }
 
 

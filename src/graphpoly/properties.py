@@ -1,7 +1,7 @@
 """Decidable isomorphism-invariant graph properties.
 
-A GraphProperty packages a total predicate on graphs together with two
-flags the polynomial layer needs:
+A GraphProperty packages a predicate together with two flags the
+polynomial layer needs:
 
 * contains_null: whether the property holds for the null graph (no
   vertices).  The null graph is not a Graph value; the flag decides
@@ -10,8 +10,15 @@ flags the polynomial layer needs:
   isolated vertex.  This is undeclared until checked; check_closed_isolated
   verifies it exhaustively up to a bound or produces a witness.
 
-The builtin registry covers the property classes the rest of the package
-refers to by name.  Properties are immutable; the complement constructor
+A predicate takes (adj, mask): the adjacency bitmasks of a whole graph and
+a nonzero vertex bitmask, and decides the graph that mask induces, so a
+subset loop tests every vertex subset of one graph without building it.
+holds(g, mask) is the one entry point; without a mask it decides g itself.
+
+The table _PROPERTIES holds every builtin property once: its name, its
+short forms, its predicate and contains_null.  builtin and parse_property
+read nothing else.  Two rows are families indexed by a cycle length i >= 3,
+written name:i.  Properties are immutable; the complement constructor
 returns a new property with the predicate negated, contains_null flipped,
 and the closure status reset.
 """
@@ -27,11 +34,12 @@ from .graph import (
     Graph,
     add_isolated_vertex,
     bits,
-    component_masks,
-    degrees,
-    edge_count,
+    components,
     enumerate_graphs,
 )
+
+# decides the subgraph induced by a nonzero vertex mask of a whole graph
+Predicate = Callable[[tuple[int, ...], int], bool]
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,14 @@ class ClosureStatus:
 @dataclass(frozen=True)
 class GraphProperty:
     name: str
-    predicate: Callable[[Graph], bool] = field(compare=False)
+    predicate: Predicate = field(compare=False)
     contains_null: bool = False
     closure_isolated: ClosureStatus = ClosureStatus()
 
-    def holds(self, g: Graph) -> bool:
-        return bool(self.predicate(g))
+    def holds(self, g: Graph, mask: int | None = None) -> bool:
+        """Does the subgraph of g induced by mask (default: all of g) hold?"""
+        return bool(self.predicate(
+            g.adj, (1 << g.n) - 1 if mask is None else mask))
 
     def key(self) -> tuple:
         """Stable identity for caching computed polynomial values."""
@@ -61,7 +71,7 @@ def complement_property(c: GraphProperty) -> GraphProperty:
     pred = c.predicate
     return GraphProperty(
         name=f"not({c.name})",
-        predicate=lambda g: not pred(g),
+        predicate=lambda adj, mask: not pred(adj, mask),
         contains_null=not c.contains_null,
         closure_isolated=ClosureStatus(),
     )
@@ -70,126 +80,88 @@ def complement_property(c: GraphProperty) -> GraphProperty:
 # ------------------------------------------------------------ predicates
 
 
-def _is_edgeless(g: Graph) -> bool:
-    return edge_count(g) == 0
+def _degrees(adj, mask: int) -> list[int]:
+    return [(adj[v] & mask).bit_count() for v in bits(mask)]
 
 
-def _is_clique(g: Graph) -> bool:
-    return edge_count(g) == g.n * (g.n - 1) // 2
+def _forest(adj, mask: int) -> bool:
+    edges = sum(_degrees(adj, mask)) // 2
+    return edges == mask.bit_count() - len(components(adj, mask))
 
 
-def _is_connected(g: Graph) -> bool:
-    return len(component_masks(g)) == 1
-
-
-def _is_disconnected(g: Graph) -> bool:
-    return len(component_masks(g)) >= 2
-
-
-def _is_forest(g: Graph) -> bool:
-    return edge_count(g) == g.n - len(component_masks(g))
-
-
-def _is_match_like(g: Graph) -> bool:
-    # every component is a single vertex or a single edge
-    return all(c.bit_count() <= 2 for c in component_masks(g))
-
-
-def _is_only_k1(g: Graph) -> bool:
-    return g.n == 1
-
-
-def _is_pair_k2_e2(g: Graph) -> bool:
-    return g.n == 2
-
-
-def _is_triple_k1_k2_e2(g: Graph) -> bool:
-    return g.n <= 2
-
-
-def _cycle_exactly(i: int) -> Callable[[Graph], bool]:
-    def pred(g: Graph) -> bool:
-        return (g.n == i and edge_count(g) == i
-                and all(d == 2 for d in degrees(g))
-                and len(component_masks(g)) == 1)
+def _cycle_exactly(i: int) -> Predicate:
+    def pred(adj, mask: int) -> bool:
+        return (mask.bit_count() == i
+                and all(d == 2 for d in _degrees(adj, mask))
+                and len(components(adj, mask)) == 1)
     return pred
 
 
-def _cycle_plus_isolated(i: int) -> Callable[[Graph], bool]:
-    def pred(g: Graph) -> bool:
-        if edge_count(g) != i:
-            return False
-        degs = degrees(g)
-        if any(d not in (0, 2) for d in degs):
-            return False
-        core = [v for v in range(g.n) if degs[v] == 2]
-        if len(core) != i:
+def _cycle_plus_isolated(i: int) -> Predicate:
+    def pred(adj, mask: int) -> bool:
+        degs = _degrees(adj, mask)
+        if any(d not in (0, 2) for d in degs) or degs.count(2) != i:
             return False
         # the degree-2 vertices must form one cycle, i.e. one component
-        comps = component_masks(g)
-        return sum(1 for c in comps if c.bit_count() > 1) == 1
+        return sum(1 for c in components(adj, mask) if c.bit_count() > 1) == 1
     return pred
+
+
+# name -> (short forms, predicate, contains_null).  A name ending in ":i"
+# is a family, and its predicate builds the member's predicate from i.
+_PROPERTIES = {
+    "edgeless": ((), lambda adj, mask: not any(
+        adj[v] & mask for v in bits(mask)), True),
+    "clique": ((), lambda adj, mask: all(
+        (adj[v] & mask) == mask ^ (1 << v) for v in bits(mask)), False),
+    "connected": ((), lambda adj, mask: len(components(adj, mask)) == 1,
+                  False),
+    "disconnected": ((), lambda adj, mask: len(components(adj, mask)) >= 2,
+                     False),
+    "forest": ((), _forest, False),
+    # every component is a single vertex or a single edge
+    "match_like": (("match",), lambda adj, mask: all(
+        c.bit_count() <= 2 for c in components(adj, mask)), False),
+    "only_K1": (("set(K1)",), lambda adj, mask: mask.bit_count() == 1,
+                False),
+    "pair_K2_E2": (("set(K2,E2)",), lambda adj, mask: mask.bit_count() == 2,
+                   False),
+    "triple_K1_K2_E2": (("set(K1,K2,E2)",),
+                        lambda adj, mask: mask.bit_count() <= 2, False),
+    "cycle_exactly:i": (("cycle:i",), _cycle_exactly, False),
+    "cycle_plus_isolated:i": (("cycleE:i",), _cycle_plus_isolated, False),
+}
+_ALIASES = {short: name for name, (shorts, _, _) in _PROPERTIES.items()
+            for short in shorts}
 
 
 def builtin(name: str) -> GraphProperty:
-    """Registry lookup; parametric names use a ':i' suffix."""
-    if name == "edgeless":
-        return GraphProperty("edgeless", _is_edgeless, contains_null=True)
-    if name == "clique":
-        return GraphProperty("clique", _is_clique)
-    if name == "connected":
-        return GraphProperty("connected", _is_connected)
-    if name == "disconnected":
-        return GraphProperty("disconnected", _is_disconnected)
-    if name == "forest":
-        return GraphProperty("forest", _is_forest)
-    if name == "match_like":
-        return GraphProperty("match_like", _is_match_like)
-    if name == "only_K1":
-        return GraphProperty("only_K1", _is_only_k1)
-    if name == "pair_K2_E2":
-        return GraphProperty("pair_K2_E2", _is_pair_k2_e2)
-    if name == "triple_K1_K2_E2":
-        return GraphProperty("triple_K1_K2_E2", _is_triple_k1_k2_e2)
+    """Table lookup by name or short form; a family takes a ':i' suffix."""
     head, sep, rest = name.partition(":")
-    if sep and head in ("cycle_exactly", "cycle_plus_isolated"):
+    key = f"{head}:i" if sep else name
+    key = _ALIASES.get(key, key)
+    if key not in _PROPERTIES:
+        raise InputError(f"unknown property {name!r}")
+    _, pred, contains_null = _PROPERTIES[key]
+    if sep:
         try:
             i = int(rest)
         except ValueError:
             raise InputError(f"bad cycle length {rest!r}") from None
         if i < 3:
             raise InputError(f"cycle properties need length >= 3, got {i}")
-        if head == "cycle_exactly":
-            return GraphProperty(name, _cycle_exactly(i))
-        return GraphProperty(name, _cycle_plus_isolated(i))
-    raise InputError(f"unknown property {name!r}")
-
-
-_DSL_ALIASES = {
-    "match": "match_like",
-    "set(K1)": "only_K1",
-    "set(K2,E2)": "pair_K2_E2",
-    "set(K1,K2,E2)": "triple_K1_K2_E2",
-}
+        key, pred = key[:-1] + rest, pred(i)
+    return GraphProperty(key, pred, contains_null)
 
 
 def parse_property(text: str) -> GraphProperty:
     """Property DSL used by the CLI.
 
-    Accepts the registry names plus the short forms: match, set(K1),
-    set(K2,E2), set(K1,K2,E2), cycle:i, cycleE:i, and not(...) around any
-    of them.
+    Accepts a builtin name or short form, and not(...) around any of them.
     """
     text = text.strip()
     if text.startswith("not(") and text.endswith(")"):
         return complement_property(parse_property(text[4:-1]))
-    if text in _DSL_ALIASES:
-        return builtin(_DSL_ALIASES[text])
-    head, sep, rest = text.partition(":")
-    if sep and head == "cycle":
-        return builtin(f"cycle_exactly:{rest}")
-    if sep and head == "cycleE":
-        return builtin(f"cycle_plus_isolated:{rest}")
     return builtin(text)
 
 

@@ -37,7 +37,6 @@ from .graph import (
     is_isomorphic,
 )
 from .invariants import (
-    PolyKind,
     compute_poly,
     matching_defect,
     maximal_clique_profile,

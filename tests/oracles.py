@@ -190,6 +190,71 @@ def falling_value(k, j: int):
     return out
 
 
+# ---------------------------------------------------------------- properties
+# The builtin property classes decided on a whole Graph, from its edge
+# list and a union-find of its own rather than the package's vertex masks.
+
+
+def _component_sizes(g: Graph):
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edge_list(g):
+        root[find(u)] = find(v)
+    sizes = {}
+    for v in range(g.n):
+        sizes[find(v)] = sizes.get(find(v), 0) + 1
+    return list(sizes.values())
+
+
+def _degrees(g: Graph):
+    return [sum(1 for u in range(g.n) if has_edge(g, v, u))
+            for v in range(g.n)]
+
+
+def _cycle_exactly(i: int, g: Graph) -> bool:
+    return (g.n == i and len(edge_list(g)) == i
+            and all(d == 2 for d in _degrees(g))
+            and len(_component_sizes(g)) == 1)
+
+
+def _cycle_plus_isolated(i: int, g: Graph) -> bool:
+    degs = _degrees(g)
+    if len(edge_list(g)) != i or any(d not in (0, 2) for d in degs):
+        return False
+    if degs.count(2) != i:
+        return False
+    return sum(1 for size in _component_sizes(g) if size > 1) == 1
+
+
+_PROPERTY_ORACLES = {
+    "edgeless": lambda g: not edge_list(g),
+    "clique": lambda g: len(edge_list(g)) == g.n * (g.n - 1) // 2,
+    "connected": lambda g: len(_component_sizes(g)) == 1,
+    "disconnected": lambda g: len(_component_sizes(g)) >= 2,
+    "forest": lambda g: len(edge_list(g)) == g.n - len(_component_sizes(g)),
+    "match_like": lambda g: all(size <= 2 for size in _component_sizes(g)),
+    "only_K1": lambda g: g.n == 1,
+    "pair_K2_E2": lambda g: g.n == 2,
+    "triple_K1_K2_E2": lambda g: g.n <= 2,
+    "cycle_exactly": _cycle_exactly,
+    "cycle_plus_isolated": _cycle_plus_isolated,
+}
+
+
+def property_oracle(name: str):
+    """Graph predicate of a builtin property name, e.g. 'cycle_exactly:4'."""
+    head, sep, rest = name.partition(":")
+    pred = _PROPERTY_ORACLES[head]
+    if sep:
+        return lambda g: pred(int(rest), g)
+    return pred
+
+
 # ---------------------------------------------------------------- vertex subsets
 
 

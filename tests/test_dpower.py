@@ -3,6 +3,8 @@
 import pytest
 
 import graphpoly.dpower
+import graphpoly.graph
+from graphpoly.caps import Caps
 from graphpoly.dpower import (
     check_dp_sdp_implication,
     compare,
@@ -15,7 +17,7 @@ from graphpoly.dpower import (
     sdp_equiv_complement_check,
     tailed_mix,
 )
-from graphpoly.errors import InputError
+from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
     complete_bipartite,
     complete_graph,
@@ -304,6 +306,17 @@ class TestComplementChecks:
     def test_span_rejects_unclosed_property(self):
         with pytest.raises(InputError):
             sdp_equiv_complement_check(parse_property("cycle:3"), "span", 5)
+
+    def test_closure_check_stops_at_the_enumeration_cap(self):
+        # the check enumerates orders below the bound; none past enum_n
+        classes = graphpoly.graph._enumerate_classes
+        classes.cache_clear()
+        with pytest.raises(CapError):
+            sdp_equiv_complement_check(builtin("forest"), "span", 5,
+                                       Caps(enum_n=3))
+        misses = classes.cache_info().misses
+        classes(4)
+        assert classes.cache_info().misses == misses + 1  # order 4 is new
 
     def test_partition_kind_separates_connectivity(self):
         rep = sdp_equiv_complement_check(parse_property("connected"),

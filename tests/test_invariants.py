@@ -185,8 +185,9 @@ class TestGenInd:
     def test_independence_is_edgeless_gen_ind(self):
         # a fresh predicate object is not recognised, so it takes the 2^n loop
         edgeless = builtin("edgeless")
-        generic = GraphProperty("edgeless", lambda g: edgeless.predicate(g),
-                                contains_null=True)
+        generic = GraphProperty(
+            "edgeless", lambda adj, mask: edgeless.predicate(adj, mask),
+            contains_null=True)
         for g in enumerate_graphs(4):
             assert independence(g) == gen_ind(g, generic)
 
@@ -243,6 +244,27 @@ class TestGenInd:
             run(grid_graph(4, 4))
 
 
+    def test_every_property_and_complement_match_graph_oracle(self):
+        # the mask predicates against the Graph-based oracles, through
+        # gen_ind and gen_chromatic_blocks
+        names = ["edgeless", "clique", "connected", "disconnected", "forest",
+                 "match_like", "only_K1", "pair_K2_E2", "triple_K1_K2_E2",
+                 "cycle_exactly:3", "cycle_plus_isolated:3"]
+        for name in names:
+            oracle = oracles.property_oracle(name)
+            for c, pred in ((builtin(name), oracle),
+                            (complement_property(builtin(name)),
+                             lambda h, oracle=oracle: not oracle(h))):
+                for n in range(1, 6):
+                    for g in enumerate_graphs(n):
+                        assert gen_ind(g, c) == UniPoly(
+                            oracles.induced_subset_counts(
+                                g, pred, c.contains_null)), (c.name, g)
+                        ref = oracles.partition_blocks(g, pred)
+                        assert list(gen_chromatic_blocks(g, c)) == [
+                            ref.get(j, 0) for j in range(n + 1)], (c.name, g)
+
+
 class TestGenSpan:
     def test_match_like_recovers_matching_polynomial(self):
         ml = builtin("match_like")
@@ -267,7 +289,8 @@ class TestGenSpan:
         # a fresh predicate object is not recognised, so it takes the 2^m loop
         for name in ("forest", "connected", "disconnected"):
             d = builtin(name)
-            generic = GraphProperty(name, lambda g, d=d: d.predicate(g))
+            generic = GraphProperty(
+                name, lambda adj, mask, d=d: d.predicate(adj, mask))
             for n in range(1, 7):
                 for g in enumerate_graphs(n):
                     assert gen_span(g, d) == gen_span(g, generic), (name, g)

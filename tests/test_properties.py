@@ -1,16 +1,21 @@
 """Builtin graph properties, the DSL, complements, and closure checks."""
 
 import random
+import re
 
 import pytest
 
+import oracles
 from graphpoly.errors import InputError
 from graphpoly.graph import (
+    bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    graphs_up_to,
+    induced_subgraph,
     path_graph,
     relabel,
 )
@@ -26,6 +31,14 @@ BUILTIN_NAMES = [
     "match_like", "only_K1", "pair_K2_E2", "triple_K1_K2_E2",
     "cycle_exactly:3", "cycle_plus_isolated:3",
 ]
+SHORT_FORMS = {
+    "match": "match_like",
+    "set(K1)": "only_K1",
+    "set(K2,E2)": "pair_K2_E2",
+    "set(K1,K2,E2)": "triple_K1_K2_E2",
+    "cycle:4": "cycle_exactly:4",
+    "cycleE:4": "cycle_plus_isolated:4",
+}
 
 
 class TestFixtures:
@@ -104,6 +117,45 @@ class TestDsl:
     def test_bad_cycle_index(self):
         with pytest.raises(InputError):
             parse_property("cycle:2")
+
+
+class TestTable:
+    def test_short_forms_resolve_to_their_row(self):
+        for short, name in SHORT_FORMS.items():
+            row = builtin(name)
+            for c in (builtin(short), parse_property(short)):
+                assert (c.name, c.contains_null) == (name, row.contains_null)
+                if ":" not in name:
+                    assert c.predicate is row.predicate
+
+    @pytest.mark.parametrize("text,message", [
+        ("planar", "unknown property 'planar'"),
+        ("edgeless:3", "unknown property 'edgeless:3'"),
+        ("cycle:2", "cycle properties need length >= 3, got 2"),
+        ("cycleE:x", "bad cycle length 'x'"),
+        ("cycle_exactly:", "bad cycle length ''"),
+    ])
+    def test_errors(self, text, message):
+        for parse in (builtin, parse_property):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                parse(text)
+
+
+class TestMaskPredicates:
+    def test_every_mask_agrees_with_the_graph_oracle(self):
+        # holds(g, mask) decides the graph that mask induces in g
+        cases = []
+        for name in BUILTIN_NAMES + ["cycle_exactly:4", "cycle_plus_isolated:4"]:
+            c = builtin(name)
+            cases.append((c, complement_property(c),
+                          oracles.property_oracle(name)))
+        for g in graphs_up_to(6):
+            for mask in range(1, 1 << g.n):
+                h = induced_subgraph(g, bits(mask))
+                for c, notc, oracle in cases:
+                    expect = oracle(h)
+                    assert c.holds(g, mask) == expect, (c.name, g, mask)
+                    assert notc.holds(g, mask) != expect, (c.name, g, mask)
 
 
 class TestComplement:
