@@ -371,12 +371,15 @@ _HANDLERS = {
 
 def _effective_caps(args) -> Caps:
     caps = DEFAULT_CAPS
-    if args.cap_n is not None:
-        caps = replace(caps, enum_n=args.cap_n, subset_n=args.cap_n)
-    if args.cap_m is not None:
-        caps = replace(caps, subset_m=args.cap_m)
-    if args.cap_partition is not None:
-        caps = replace(caps, partition_n=args.cap_partition)
+    for flag, fields in (("cap_n", ("enum_n", "subset_n")),
+                         ("cap_m", ("subset_m",)),
+                         ("cap_partition", ("partition_n",))):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be "
+                             f"nonnegative, got {value}")
+        if value is not None:
+            caps = replace(caps, **dict.fromkeys(fields, value))
     return caps
 
 
@@ -384,8 +387,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    caps = _effective_caps(args)
     try:
+        caps = _effective_caps(args)
         body = _HANDLERS[args.verb](args, caps)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

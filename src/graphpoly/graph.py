@@ -13,10 +13,13 @@ parse_graph refuse orders above MAX_ORDER before allocating anything.
 Isomorphism testing is an exact backtracking search with degree-profile
 pruning.  canonical_form returns the lexicographically minimal adjacency
 bit string over all relabellings (upper triangle, read column by column),
-so equal strings characterize isomorphic graphs.  Enumeration of
-isomorphism classes extends each (n-1)-vertex class by one vertex in all
-2^(n-1) ways and deduplicates; it is capped by default at n = 7
-(1044 classes), which brute-force canonicalization handles comfortably.
+so equal strings characterize isomorphic graphs.  It searches level by
+level, keeping the partial vertex orders whose columns so far are least
+and trying one vertex per twin class (N(u) - v = N(v) - u); a level wider
+than CANON_WIDTH raises CapError.  Enumeration of isomorphism classes
+extends each (n-1)-vertex class by one vertex in all 2^(n-1) ways and
+keeps the first extension of each canonical form; it is capped by default
+at n = 7 (1044 classes).
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .errors import CapError, InputError
 # the largest order a graph file, a family or an ortho index may ask for,
 # checked before anything of that size is allocated
 MAX_ORDER = 1024
+
+# the most partial orders one step of the canonical-form search may keep
+CANON_WIDTH = 100_000
 
 
 @dataclass(frozen=True)
@@ -552,81 +558,72 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return assign(0)
 
 
+def _lower_twins(adj) -> list[int]:
+    """Per vertex v, the mask of the u < v with N(u) - v = N(v) - u."""
+    return [sum(1 << u for u in range(v)
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(len(adj))]
+
+
 def canonical_form(g: Graph, cap: int | None = None) -> str:
     """Lexicographically minimal adjacency bit string over relabellings.
 
     The string lists the upper triangle column by column: placing vertex k
     appends its adjacency to the k previously placed vertices.  Equal
     strings characterize isomorphic graphs, and sorting by the string gives
-    a stable order on isomorphism classes.
+    a stable order on isomorphism classes.  As each column placed at step k
+    has k bits, the search keeps, level by level, the partial orders whose
+    columns so far are least, trying one vertex per twin class; a step that
+    collects more than CANON_WIDTH of them raises CapError.
     """
     cap = DEFAULT_CAPS.enum_n if cap is None else cap
     if g.n > cap:
         raise CapError(
             f"canonical form capped at n <= {cap}, got {g.n}; raise the cap explicitly")
-    n = g.n
-    m = edge_count(g)
-    total = n * (n - 1) // 2
-    if m == 0:
-        return "0" * total
-    if m == total:
-        return "1" * total
-    adj = g.adj
-    best: list[int] | None = None
-
-    def extend(order: list[int], used: int, code: list[int]) -> None:
-        nonlocal best
-        k = len(order)
-        if k == n:
-            if best is None or code < best:
-                best = list(code)
-            return
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            seg = [(adj[u] >> v) & 1 for u in order]
-            newcode = code + seg
-            if best is not None and newcode > best[: len(newcode)]:
-                continue
-            extend(order + [v], used | 1 << v, newcode)
-
-    extend([], 0, [])
-    assert best is not None
-    return "".join("1" if b else "0" for b in best)
+    n, adj = g.n, g.adj
+    lower = _lower_twins(adj)
+    # (unplaced vertices, every vertex's column so far, next vertex to place)
+    level = [((1 << n) - 1, (0,) * n, v) for v in range(n) if not lower[v]]
+    code = []
+    for k in range(1, n):
+        best, nxt = 1 << k, []
+        for free, cols, w in level:
+            free &= ~(1 << w)
+            cols = [c << 1 | adj[w] >> v & 1 for v, c in enumerate(cols)]
+            for v, c in enumerate(cols):
+                if c > best or not free >> v & 1 or lower[v] & free:
+                    continue
+                if c < best:
+                    best, nxt = c, []
+                nxt.append((free, cols, v))
+                if len(nxt) > CANON_WIDTH:
+                    raise CapError(f"canonical form search reached "
+                                   f"{len(nxt)} partial orders at step {k} of "
+                                   f"{n - 1}, over the bound of {CANON_WIDTH}")
+        code.append(format(best, f"0{k}b"))
+        level = nxt
+    return "".join(code)
 
 
 # -------------------------------------------------------------- enumeration
-
-
-def _fingerprint(g: Graph) -> tuple:
-    profiles = _vertex_profiles(g)
-    return (g.n, edge_count(g), tuple(sorted(profiles)))
-
-
-def _extend_by_vertex(g: Graph, neighbor_mask: int) -> Graph:
-    v = g.n
-    adj = list(g.adj)
-    for u in bits(neighbor_mask):
-        adj[u] |= 1 << v
-    adj.append(neighbor_mask)
-    return Graph(g.n + 1, tuple(adj))
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (empty_graph(1),)
-    buckets: dict[tuple, list[Graph]] = {}
+    top = 1 << (n - 1)
+    classes: dict[str, Graph] = {}
     for base in _enumerate_classes(n - 1):
-        for mask in range(1 << (n - 1)):
-            g = _extend_by_vertex(base, mask)
-            fp = _fingerprint(g)
-            bucket = buckets.setdefault(fp, [])
-            if not any(is_isomorphic(g, rep) for rep in bucket):
-                bucket.append(g)
-    reps = [g for bucket in buckets.values() for g in bucket]
-    reps.sort(key=lambda g: canonical_form(g, cap=n))
-    return tuple(reps)
+        lower = _lower_twins(base.adj)
+        for mask in range(top):
+            # a twin swap of the base gives a smaller mask of the same class
+            if any(lower[v] & ~mask for v in bits(mask)):
+                continue
+            g = Graph(n, tuple(a | top if mask >> u & 1 else a
+                               for u, a in enumerate(base.adj)) + (mask,))
+            classes.setdefault(canonical_form(g, cap=n), g)
+    return tuple(classes[key] for key in sorted(classes))
 
 
 def enumerate_graphs(n: int, cap: int | None = None) -> tuple[Graph, ...]:
@@ -642,6 +639,8 @@ def enumerate_graphs(n: int, cap: int | None = None) -> tuple[Graph, ...]:
 
 def graphs_up_to(n_bound: int, cap: int | None = None) -> list[Graph]:
     """Classes of every order 1..n_bound, in (order, canonical form) order."""
+    if n_bound < 1:
+        raise InputError(f"enumeration needs a bound >= 1, got {n_bound}")
     out: list[Graph] = []
     for n in range(1, n_bound + 1):
         out.extend(enumerate_graphs(n, cap=cap))

@@ -105,10 +105,7 @@ def _solve_cell(terms, q: int, d: int, holdout: int):
     it solves the whole training system too) or we fall back to solving
     the complete system once before rejecting the cell.
     """
-    windows = len(terms) - q
-    train = windows - holdout
-    if train < 1:
-        return None
+    train = len(terms) - q - holdout
     width = q * (d + 1)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -156,11 +153,11 @@ def fit(seq: PolySequence, max_order: int, max_deg: int,
         raise InputError("max_deg must be nonnegative")
     if holdout < 1:
         raise InputError("holdout must be at least 1")
-    need = max_order + max_deg + 4
+    need = max_order + max_deg + holdout + 1
     if len(seq.terms) < need:
         raise InputError(
-            f"fitting at bounds ({max_order}, {max_deg}) needs at least "
-            f"{need} terms, got {len(seq.terms)}")
+            f"fitting at bounds ({max_order}, {max_deg}) with holdout "
+            f"{holdout} needs at least {need} terms, got {len(seq.terms)}")
     terms = seq.terms
     for q in range(1, max_order + 1):
         for d in range(max_deg + 1):

@@ -3,15 +3,27 @@
 Everything here is deliberately naive: permutation expansion for
 determinants, explicit assignment scans for colorings, exhaustive
 vertex-subset, set-partition and edge-subset enumeration,
-deletion-contraction for the Tutte polynomial.  Nothing shares algorithmic code with the package
-beyond the Graph accessors; polynomial arithmetic is done on plain
-coefficient lists.
+deletion-contraction for the Tutte polynomial, a depth-first canonical
+form and a bucket-and-dedupe class enumeration.  Nothing shares
+algorithmic code with the package beyond the Graph accessors and, for the
+class enumeration, the backtracking is_isomorphic and its vertex profiles,
+which the package's canonical form does not use; polynomial arithmetic is
+done on plain coefficient lists.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from graphpoly.graph import Graph, edge_list, has_edge, induced_subgraph
+from graphpoly.graph import (
+    Graph,
+    _vertex_profiles,
+    edge_count,
+    edge_list,
+    has_edge,
+    induced_subgraph,
+    is_isomorphic,
+)
 
 
 # ---------------------------------------------------------------- poly lists
@@ -253,6 +265,69 @@ def property_oracle(name: str):
     if sep:
         return lambda g: pred(int(rest), g)
     return pred
+
+
+# ---------------------------------------------------------------- isomorphism classes
+
+
+def canonical_form_dfs(g: Graph) -> str:
+    """Least upper-triangle bit string, column by column, over relabellings.
+
+    Depth-first over vertex orders, cutting an order as soon as its code
+    so far exceeds the best full code found.
+    """
+    n, adj = g.n, g.adj
+    best = None
+
+    def extend(order, used, code):
+        nonlocal best
+        if len(order) == n:
+            if best is None or code < best:
+                best = list(code)
+            return
+        for v in range(n):
+            if used >> v & 1:
+                continue
+            newcode = code + [adj[u] >> v & 1 for u in order]
+            if best is not None and newcode > best[:len(newcode)]:
+                continue
+            extend(order + [v], used | 1 << v, newcode)
+
+    extend([], 0, [])
+    return "".join("1" if b else "0" for b in best)
+
+
+def _extend_by_vertex(g: Graph, neighbor_mask: int) -> Graph:
+    adj = list(g.adj)
+    for u in range(g.n):
+        if neighbor_mask >> u & 1:
+            adj[u] |= 1 << g.n
+    adj.append(neighbor_mask)
+    return Graph(g.n + 1, tuple(adj))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_classes(n: int) -> tuple:
+    """Classes of order n, each the first extension met of its class.
+
+    Every class of order n-1 is extended by one vertex in all 2^(n-1)
+    ways; an extension is kept unless an isomorphic one is already in its
+    (order, size, sorted vertex profiles) bucket; the kept graphs are
+    sorted by canonical_form_dfs.
+    """
+    if n == 1:
+        return (Graph(1, (0,)),)
+    buckets = {}
+    for base in enumerate_classes(n - 1):
+        for mask in range(1 << (n - 1)):
+            g = _extend_by_vertex(base, mask)
+            fp = (g.n, edge_count(g), tuple(sorted(_vertex_profiles(g))))
+            bucket = buckets.setdefault(fp, [])
+            if not any(is_isomorphic(g, rep) for rep in bucket):
+                bucket.append(g)
+    reps = [g for bucket in buckets.values() for g in bucket]
+    reps.sort(key=canonical_form_dfs)
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------- vertex subsets

@@ -171,6 +171,15 @@ class TestCompare:
         assert rep["p_le_q"]["witness"] == ["1 0\n", "2 0\n"]
         assert rep["q_le_p"]["refuted"] is False
 
+    def test_bound_below_one_is_an_input_error(self, capsys):
+        for bound in ("0", "-3"):
+            code = main(["compare", "--p", "chrom", "--q", "indep",
+                         "--mode", "dp", "--bound", bound])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"got {bound}" in captured.err
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -228,6 +237,14 @@ class TestDeterminismAndErrors:
                               "--graph", "family:path:4", "--cap-n", "10")
         assert code2 == 0
         assert rep2["result"] == "1 4 3"
+
+    def test_negative_cap_exit_2(self, capsys):
+        for flag in ("--cap-n", "--cap-m", "--cap-partition"):
+            code = main(["enumerate", "--n", "3", flag, "-1"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert flag in captured.err
 
     def test_argparse_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

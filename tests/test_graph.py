@@ -1,11 +1,14 @@
 """Graph construction, families, isomorphism, and enumeration."""
 
 import random
+import re
 
 import pytest
 
+import oracles
 from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
+    CANON_WIDTH,
     FAMILIES,
     MAX_ORDER,
     FamilySpec,
@@ -233,6 +236,33 @@ class TestIsomorphism:
                 rng.shuffle(perm)
                 assert canonical_form(relabel(g, perm)) == c
 
+    def test_canonical_form_matches_depth_first_oracle(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert canonical_form(g) == oracles.canonical_form_dfs(g)
+
+    def test_canonical_form_of_relabellings_matches_oracle(self):
+        rng = random.Random(9)
+        extremes = [empty_graph(7), complete_graph(7), complete_bipartite(1, 6),
+                    complete_bipartite(3, 4),
+                    disjoint_union([complete_graph(2)] * 3 + [empty_graph(1)])]
+        for g in graphs_up_to(6) + extremes:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_form(h) == oracles.canonical_form_dfs(h) \
+                == canonical_form(g)
+
+    def test_canonical_search_width_bound(self):
+        with pytest.raises(CapError) as exc:
+            canonical_form(cycle_graph(20), cap=20)
+        found = re.fullmatch(r"canonical form search reached (\d+) partial "
+                             r"orders at step (\d+) of 19, over the bound "
+                             r"of (\d+)", str(exc.value))
+        assert found, str(exc.value)
+        assert int(found[1]) > CANON_WIDTH == int(found[3])
+        assert 1 <= int(found[2]) <= 19
+
     def test_signature_isomorphism_invariant(self):
         rng = random.Random(8)
         for g in enumerate_graphs(5):
@@ -251,6 +281,16 @@ class TestEnumeration:
     def test_class_counts(self):
         for n, count in CLASS_COUNTS.items():
             assert len(enumerate_graphs(n)) == count, n
+
+    def test_matches_bucket_and_dedupe_oracle(self):
+        # same representatives, same labels, same order
+        for n in range(1, 8):
+            assert enumerate_graphs(n) == oracles.enumerate_classes(n), n
+
+    def test_graphs_up_to_needs_a_positive_bound(self):
+        for bound in (0, -3):
+            with pytest.raises(InputError):
+                graphs_up_to(bound)
 
     def test_deterministic(self):
         assert enumerate_graphs(5) == enumerate_graphs(5)

@@ -90,6 +90,15 @@ class TestFit:
         with pytest.raises(InputError, match="at least"):
             fit(seq, max_order=3, max_deg=2)
 
+    def test_holdout_counts_toward_the_terms_needed(self):
+        # fit needs max_order + max_deg + holdout + 1 terms, so that every
+        # cell keeps a training window: 18 terms allow a holdout of 14
+        seq = chrom_seq("cycle", 3, 20)
+        assert fit(seq, max_order=2, max_deg=1, holdout=14) is not None
+        for holdout in (15, 30):
+            with pytest.raises(InputError, match=f"holdout {holdout} needs"):
+                fit(seq, max_order=2, max_deg=1, holdout=holdout)
+
     def test_bad_bounds(self):
         seq = char_seq("path", 1, 12)
         with pytest.raises(InputError):
