@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Caps:
-    enum_n: int = 7        # isomorphism-class enumeration and canonical forms
+    enum_n: int = 7        # isomorphism-class enumeration
     subset_n: int = 20     # vertex-subset sums, 2^n terms
     subset_m: int = 20     # span: sums over all 2^m edge subsets
     partition_n: int = 10  # set-partition based polynomials

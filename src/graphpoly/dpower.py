@@ -9,9 +9,8 @@ d.p. refutation, and a d.p. no-refutation forces an s.d.p. no-refutation.
 check_dp_sdp_implication asserts that implication by running both scans.
 
 An invariant handle is a PolyKind: a polynomial kind, or kind "prop" for a
-property read as 0/1.  Values are cached in a dict (handle key, graph) ->
-value that the caller owns, or that compare makes for one scan and
-check_dp_sdp_implication for its two.
+property read as 0/1.  A scan computes each handle once per class and
+keeps the values in a list; nothing is cached across calls.
 
 All verdicts are relative to the scanned universe: isomorphism classes up
 to the given order bound, ordered by (order, canonical form).  Refutations
@@ -73,17 +72,11 @@ def parse_handle(text: str) -> PolyKind:
     return parse_poly_kind(text)
 
 
-def evaluate_handle(handle: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS,
-                    cache: dict | None = None):
+def evaluate_handle(handle: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS):
     """Value of the handle on g; isomorphic inputs give equal values."""
     if handle.kind == "prop":
         return 1 if handle.prop.holds(g) else 0
-    if cache is None:
-        return compute_poly(handle, g, caps)
-    key = (handle.key(), g)
-    if key not in cache:
-        cache[key] = compute_poly(handle, g, caps)
-    return cache[key]
+    return compute_poly(handle, g, caps)
 
 
 # ------------------------------------------------------------ comparison
@@ -105,28 +98,22 @@ class ComparisonReport:
     q_le_p: DirectionVerdict
 
 
-def _first_refuting_pair(universe, fine_values, group_keys):
-    """Lex-first index pair equal under the group key, unequal under fine."""
+def _first_refuting_pair(fine_values, group_keys):
+    """Lex-first index pair equal under the group key, unequal under fine.
+
+    If two members of a group differ, some member differs from the first,
+    so a group's lex-first unequal pair is its first member and the first
+    member whose value differs from it.  Groups come in the order of their
+    first members, so the first group with such a pair holds the answer.
+    """
     groups: dict = {}
     for idx, key in enumerate(group_keys):
         groups.setdefault(key, []).append(idx)
-    best: tuple[int, int] | None = None
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        if len({fine_values[i] for i in members}) < 2:
-            continue
-        found = None
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if fine_values[members[a]] != fine_values[members[b]]:
-                    found = (members[a], members[b])
-                    break
-            if found:
-                break
-        if found and (best is None or found < best):
-            best = found
-    return best
+    for first, *rest in groups.values():
+        for i in rest:
+            if fine_values[i] != fine_values[first]:
+                return first, i
+    return None
 
 
 def _direction(universe, vals_p, vals_q, sigs, mode) -> DirectionVerdict:
@@ -134,7 +121,7 @@ def _direction(universe, vals_p, vals_q, sigs, mode) -> DirectionVerdict:
         keys = vals_q
     else:
         keys = [(sigs[i], vals_q[i]) for i in range(len(universe))]
-    pair = _first_refuting_pair(universe, vals_p, keys)
+    pair = _first_refuting_pair(vals_p, keys)
     if pair is None:
         return DirectionVerdict(refuted=False, witness=None)
     return DirectionVerdict(refuted=True,
@@ -154,15 +141,13 @@ def _reverify(witness, p, q, mode, caps) -> None:
 
 
 def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
-            caps: Caps = DEFAULT_CAPS,
-            cache: dict | None = None) -> ComparisonReport:
+            caps: Caps = DEFAULT_CAPS) -> ComparisonReport:
     """Scan all class pairs (dp) or all similar pairs (sdp) up to the bound."""
     if mode not in ("dp", "sdp"):
         raise InputError(f"mode must be dp or sdp, got {mode!r}")
-    cache = {} if cache is None else cache
     universe = graphs_up_to(n_bound, cap=caps.enum_n)
-    vals_p = [evaluate_handle(p, g, caps, cache) for g in universe]
-    vals_q = [evaluate_handle(q, g, caps, cache) for g in universe]
+    vals_p = [evaluate_handle(p, g, caps) for g in universe]
+    vals_q = [evaluate_handle(q, g, caps) for g in universe]
     sigs = [signature(g) for g in universe]
     forward = _direction(universe, vals_p, vals_q, sigs, mode)
     backward = _direction(universe, vals_q, vals_p, sigs, mode)
@@ -188,11 +173,10 @@ class ImplicationReport:
 
 
 def check_dp_sdp_implication(p: PolyKind, q: PolyKind,
-                             n_bound: int, caps: Caps = DEFAULT_CAPS,
-                             cache: dict | None = None) -> ImplicationReport:
-    cache = {} if cache is None else cache
-    dp = compare(p, q, "dp", n_bound, caps, cache)
-    sdp = compare(p, q, "sdp", n_bound, caps, cache)
+                             n_bound: int, caps: Caps = DEFAULT_CAPS
+                             ) -> ImplicationReport:
+    dp = compare(p, q, "dp", n_bound, caps)
+    sdp = compare(p, q, "sdp", n_bound, caps)
     return ImplicationReport(dp=dp, sdp=sdp)
 
 
@@ -394,8 +378,7 @@ class ComplementCheckReport:
 
 
 def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
-                               caps: Caps = DEFAULT_CAPS,
-                               cache: dict | None = None
+                               caps: Caps = DEFAULT_CAPS
                                ) -> ComplementCheckReport:
     """Compare a property's generating polynomial against its complement's.
 
@@ -422,7 +405,7 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
     mode = "sdp" if kind in ("ind", "span") else "dp"
     p = PolyKind(kind, c)
     q = PolyKind(kind, complement_property(c))
-    report = compare(p, q, mode, n_bound, caps, cache)
+    report = compare(p, q, mode, n_bound, caps)
     return ComplementCheckReport(prop_name=c.name, kind=kind, mode=mode,
                                  closure_note=closure_note, report=report)
 

@@ -15,11 +15,11 @@ pruning.  canonical_form returns the lexicographically minimal adjacency
 bit string over all relabellings (upper triangle, read column by column),
 so equal strings characterize isomorphic graphs.  It searches level by
 level, keeping the partial vertex orders whose columns so far are least
-and trying one vertex per twin class (N(u) - v = N(v) - u); a level wider
-than CANON_WIDTH raises CapError.  Enumeration of isomorphism classes
-extends each (n-1)-vertex class by one vertex in all 2^(n-1) ways and
-keeps the first extension of each canonical form; it is capped by default
-at n = 7 (1044 classes).
+and trying one vertex per twin class (N(u) - v = N(v) - u).  It takes any
+order; its only guard is CANON_WIDTH, and a wider level raises CapError.
+Enumeration of isomorphism classes extends each (n-1)-vertex class by one
+vertex in all 2^(n-1) ways and keeps the first extension of each canonical
+form; it is capped by default at n = 7 (1044 classes).
 """
 
 from __future__ import annotations
@@ -220,17 +220,6 @@ def induced_from_mask(g: Graph, mask: int) -> Graph:
                 row |= 1 << j
         adj[i] = row
     return Graph(k, tuple(adj))
-
-
-def spanning_subgraph(g: Graph, edges) -> Graph:
-    """Same vertex set, edge set restricted to the given edges of g."""
-    adj = [0] * g.n
-    for u, v in edges:
-        if not has_edge(g, u, v):
-            raise InputError(f"({u},{v}) is not an edge of the graph")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
 
 
 def add_isolated_vertex(g: Graph) -> Graph:
@@ -565,7 +554,7 @@ def _lower_twins(adj) -> list[int]:
             for v in range(len(adj))]
 
 
-def canonical_form(g: Graph, cap: int | None = None) -> str:
+def canonical_form(g: Graph) -> str:
     """Lexicographically minimal adjacency bit string over relabellings.
 
     The string lists the upper triangle column by column: placing vertex k
@@ -576,10 +565,6 @@ def canonical_form(g: Graph, cap: int | None = None) -> str:
     columns so far are least, trying one vertex per twin class; a step that
     collects more than CANON_WIDTH of them raises CapError.
     """
-    cap = DEFAULT_CAPS.enum_n if cap is None else cap
-    if g.n > cap:
-        raise CapError(
-            f"canonical form capped at n <= {cap}, got {g.n}; raise the cap explicitly")
     n, adj = g.n, g.adj
     lower = _lower_twins(adj)
     # (unplaced vertices, every vertex's column so far, next vertex to place)
@@ -622,7 +607,7 @@ def _enumerate_classes(n: int) -> tuple[Graph, ...]:
                 continue
             g = Graph(n, tuple(a | top if mask >> u & 1 else a
                                for u, a in enumerate(base.adj)) + (mask,))
-            classes.setdefault(canonical_form(g, cap=n), g)
+            classes.setdefault(canonical_form(g), g)
     return tuple(classes[key] for key in sorted(classes))
 
 

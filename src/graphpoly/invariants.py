@@ -63,8 +63,8 @@ few dozen vertices stay in range.  The transition sets:
   vertex with two neighbours in one component would close a cycle.
 
 The last three take or skip each vertex and count vertex subsets by size.
-A sweep raises CapError once it holds more than max_states states, naming
-the sweep, the state count, the step and the cap.
+A sweep raises CapError once it holds more than the fixed MAX_STATES
+states, naming the sweep, the state count, the step and the cap.
 
 The table _KINDS holds every PolyKind name, whether it takes a property,
 and its computation; parse_poly_kind and compute_poly read nothing else.
@@ -94,6 +94,9 @@ from .poly import (
     interpolate,
 )
 from .properties import GraphProperty, builtin, parse_property
+
+# the most states one step of a frontier sweep may hold
+MAX_STATES = 500_000
 
 # ------------------------------------------------------------ characteristic
 
@@ -175,8 +178,7 @@ def matching_generating(g: Graph, cap_n: int | None = None) -> UniPoly:
 # ------------------------------------------------------------ subset sums
 
 
-def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
-            max_states: int = 500_000) -> UniPoly:
+def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
     The builtin edgeless and forest classes run a frontier sweep (below);
@@ -187,7 +189,7 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
         raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
     sweep = _IND_BY_SWEEP.get(c.predicate)
     if sweep is not None:
-        counts = sweep(g, max_states)
+        counts = sweep(g)
     else:
         counts = [0] * (g.n + 1)
         for mask in range(1, 1 << g.n):
@@ -197,9 +199,8 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None,
     return UniPoly(counts)
 
 
-def independence(g: Graph, cap_n: int | None = None,
-                 max_states: int = 500_000) -> UniPoly:
-    return gen_ind(g, builtin("edgeless"), cap_n=cap_n, max_states=max_states)
+def independence(g: Graph, cap_n: int | None = None) -> UniPoly:
+    return gen_ind(g, builtin("edgeless"), cap_n=cap_n)
 
 
 # builtin spanning classes decided by (n, rank, nullity) of the edge subset
@@ -365,8 +366,7 @@ def _sweep_schedule(g: Graph) -> tuple[list[int], list[int]]:
     return order, gone_at
 
 
-def _frontier_sweep(g: Graph, start, expand, name: str,
-                    max_states: int = 500_000) -> dict:
+def _frontier_sweep(g: Graph, start, expand, name: str) -> dict:
     """Final states of a frontier sweep, each mapped to its count.
 
     Starting from the single state `start` with count 1, the sweep
@@ -388,10 +388,10 @@ def _frontier_sweep(g: Graph, start, expand, name: str,
             for key, factor in expand(state, v, ahead, gone):
                 nxt[key] = nxt.get(key, 0) + count * factor
         states = nxt
-        if len(states) > max_states:
+        if len(states) > MAX_STATES:
             raise CapError(
                 f"{name} frontier sweep reached {len(states)} states at "
-                f"step {step + 1} of {g.n}, over the cap of {max_states}")
+                f"step {step + 1} of {g.n}, over the cap of {MAX_STATES}")
     return states
 
 
@@ -407,7 +407,7 @@ def _fields(packed: int, width: int, size: int) -> list[int]:
     return [packed >> (width * k) & field for k in range(size)]
 
 
-def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
+def chromatic_blocks(g: Graph) -> tuple[int, ...]:
     """Partitions of V into j independent blocks, via the frontier sweep.
 
     A state is the blocks restricted to the frontier, as sorted bitmasks,
@@ -430,22 +430,21 @@ def chromatic_blocks(g: Graph, max_states: int = 500_000) -> tuple[int, ...]:
             yield (live, t - 1 + shut), t
 
     out = [0] * (g.n + 1)
-    for (_, t), ways in _frontier_sweep(g, ((), 0), expand, "chromatic",
-                                        max_states).items():
+    sweep = _frontier_sweep(g, ((), 0), expand, "chromatic")
+    for (_, t), ways in sweep.items():
         out[t] += ways
     return tuple(out)
 
 
-def chromatic(g: Graph, max_states: int = 500_000) -> UniPoly:
+def chromatic(g: Graph) -> UniPoly:
     """Proper-coloring polynomial; agrees with gen_chromatic at edgeless."""
-    return falling_to_monomial(chromatic_blocks(g, max_states=max_states))
+    return falling_to_monomial(chromatic_blocks(g))
 
 
 # ------------------------------------------------------------ tutte
 
 
-def _rank_nullity_counts(g: Graph, max_states: int = 500_000
-                         ) -> dict[tuple[int, int], int]:
+def _rank_nullity_counts(g: Graph) -> dict[tuple[int, int], int]:
     """counts[(r, b)]: edge subsets A of rank r and nullity |A| - r.
 
     Frontier sweep after Sekine, Imai and Tani (ISAAC 1995).  A state is
@@ -476,15 +475,15 @@ def _rank_nullity_counts(g: Graph, max_states: int = 500_000
             yield (live, comps + shut), f
 
     counts = {}
-    for (_, comps), packed in _frontier_sweep(
-            g, ((), 0), expand, "rank-nullity", max_states).items():
+    sweep = _frontier_sweep(g, ((), 0), expand, "rank-nullity")
+    for (_, comps), packed in sweep.items():
         for b, ways in enumerate(_fields(packed, width, width)):
             if ways:
                 counts[g.n - comps, b] = ways
     return counts
 
 
-def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
+def tutte(g: Graph) -> BiPoly:
     """Whitney rank sum over all edge subsets, from the frontier sweep.
 
     The cnt subsets of corank a and nullity b add cnt (X-1)^a (Y-1)^b,
@@ -495,7 +494,7 @@ def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
     signed = [[math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)]
               for k in range(m + 1)]
     grid = [[0] * (m + 1) for _ in range(rank_full + 1)]
-    for (r, b), cnt in _rank_nullity_counts(g, max_states).items():
+    for (r, b), cnt in _rank_nullity_counts(g).items():
         for i, ci in enumerate(signed[rank_full - r]):
             row = grid[i]
             for j, cj in enumerate(signed[b]):
@@ -509,7 +508,7 @@ def tutte(g: Graph, max_states: int = 500_000) -> BiPoly:
 # C(n, k) < 2^(n + 1) never carries.
 
 
-def _independent_counts(g: Graph, max_states: int) -> list[int]:
+def _independent_counts(g: Graph) -> list[int]:
     """Independent sets by size; the state is N(S) among later vertices."""
     adj = g.adj
     take = 1 << (g.n + 1)
@@ -519,11 +518,11 @@ def _independent_counts(g: Graph, max_states: int) -> list[int]:
         if not blocked >> v & 1:
             yield (blocked | adj[v]) & ahead, take
 
-    states = _frontier_sweep(g, 0, expand, "independence", max_states)
+    states = _frontier_sweep(g, 0, expand, "independence")
     return _fields(sum(states.values()), g.n + 1, g.n + 1)
 
 
-def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
+def _induced_forest_counts(g: Graph) -> list[int]:
     """Vertex subsets inducing a forest, by size.
 
     The state is the sorted component masks of the chosen frontier
@@ -547,7 +546,7 @@ def _induced_forest_counts(g: Graph, max_states: int) -> list[int]:
         rest.append(merged)
         yield _settle(rest, gone)[0], take
 
-    states = _frontier_sweep(g, (), expand, "ind:forest", max_states)
+    states = _frontier_sweep(g, (), expand, "ind:forest")
     return _fields(sum(states.values()), g.n + 1, g.n + 1)
 
 
@@ -561,8 +560,7 @@ _IND_BY_SWEEP = {
 # ------------------------------------------------------------ dominating, cliques
 
 
-def dominating(g: Graph, cap_n: int | None = None,
-               max_states: int = 500_000) -> UniPoly:
+def dominating(g: Graph, cap_n: int | None = None) -> UniPoly:
     """Generating polynomial of nonempty dominating sets, by the vertex sweep.
 
     The state is (needs, covered ahead); the empty set never survives, as
@@ -583,7 +581,7 @@ def dominating(g: Graph, cap_n: int | None = None,
         if not taken & gone:
             yield (taken, (covered | adj[v]) & ahead), take
 
-    states = _frontier_sweep(g, (0, 0), expand, "domination", max_states)
+    states = _frontier_sweep(g, (0, 0), expand, "domination")
     return UniPoly(_fields(sum(states.values()), g.n + 1, g.n + 1))
 
 

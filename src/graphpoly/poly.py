@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic over arbitrary-precision rationals.
 
 This module is the arithmetic layer for the whole package: dense univariate
-polynomials over Q, bivariate polynomials over Z, the falling-factorial
-basis, and exact linear algebra (a fraction-free solver, integer
-determinants, interpolation).  No floating point appears anywhere.
+polynomials over Q, bivariate coefficient grids over Z (evaluation and text
+only), the falling-factorial basis, and exact linear algebra (a
+fraction-free Bareiss solver, integer determinants, Newton interpolation).
+No floating point appears anywhere.
 
 Conventions:
 
@@ -29,8 +30,6 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-
-Rational = Fraction
 
 MINUS_INFINITY = float("-inf")
 
@@ -73,10 +72,6 @@ class UniPoly:
     @classmethod
     def x(cls) -> UniPoly:
         return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> UniPoly:
-        return cls((c,))
 
     @classmethod
     def monomial(cls, k: int, c=1) -> UniPoly:
@@ -169,18 +164,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def evaluate(self, x) -> Fraction:
         """Exact evaluation by Horner's rule."""
         x = Fraction(x)
@@ -221,7 +204,10 @@ class UniPoly:
 
 
 class BiPoly:
-    """Bivariate polynomial over Z, a rectangular (X-degree, Y-degree) grid."""
+    """Bivariate polynomial over Z, a rectangular (X-degree, Y-degree) grid.
+
+    Built from a grid, it is only evaluated, printed, parsed and compared.
+    """
 
     __slots__ = ("grid",)
 
@@ -237,91 +223,6 @@ class BiPoly:
         while rows and not any(rows[-1]):
             rows.pop()
         self.grid: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> BiPoly:
-        return cls(((1,),))
-
-    @classmethod
-    def constant(cls, c: int) -> BiPoly:
-        return cls(((c,),))
-
-    @classmethod
-    def x(cls) -> BiPoly:
-        return cls(((0,), (1,)))
-
-    @classmethod
-    def y(cls) -> BiPoly:
-        return cls(((0, 1),))
-
-    def is_zero(self) -> bool:
-        return not self.grid
-
-    def coefficient(self, i: int, j: int) -> int:
-        if 0 <= i < len(self.grid) and 0 <= j < len(self.grid[i]):
-            return self.grid[i][j]
-        return 0
-
-    def degrees(self):
-        """(degree in X, degree in Y), MINUS_INFINITY pair when zero."""
-        if not self.grid:
-            return (MINUS_INFINITY, MINUS_INFINITY)
-        return (len(self.grid) - 1, len(self.grid[0]) - 1)
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        h = max(len(self.grid), len(other.grid))
-        w = 0
-        if self.grid:
-            w = len(self.grid[0])
-        if other.grid:
-            w = max(w, len(other.grid[0]))
-        out = [[self.coefficient(i, j) + other.coefficient(i, j) for j in range(w)]
-               for i in range(h)]
-        return BiPoly(out)
-
-    def __neg__(self):
-        return BiPoly(tuple(tuple(-c for c in row) for row in self.grid))
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        h = len(self.grid) + len(other.grid) - 1
-        w = len(self.grid[0]) + len(other.grid[0]) - 1
-        out = [[0] * w for _ in range(h)]
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                for k, orow in enumerate(other.grid):
-                    for l, d in enumerate(orow):
-                        if d:
-                            out[i + k][j + l] += c * d
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative polynomial power")
-        result = BiPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
 
     def evaluate(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)

@@ -89,7 +89,10 @@ def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
     Degree-forced kinds derive the scanned order from p itself; passing a
     smaller n_bound on top of that empties the universe instead of lying
     about it.  Other kinds scan every order up to the mandatory n_bound.
+    A bound below 1 raises InputError.
     """
+    if n_bound is not None and n_bound < 1:
+        raise InputError(f"recognition needs a bound >= 1, got {n_bound}")
     pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     matches: list[Graph] = []
     if pk.kind in DEGREE_FORCED_KINDS:

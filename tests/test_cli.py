@@ -131,6 +131,17 @@ class TestRecognize:
         assert rep["found"] is True
         assert rep["index"] == 3
 
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_bound_below_one_is_an_input_error(self, capsys, tmp_path, bound):
+        path = tmp_path / "indep.txt"
+        path.write_text("1 3 1\n")   # indep(P_3)
+        code = main(["recognize", "--poly", "indep", "--input", str(path),
+                     "--bound", bound])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {bound}" in captured.err
+
 
 class TestSuites:
     def test_dom(self, capsys):

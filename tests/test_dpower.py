@@ -26,7 +26,6 @@ from graphpoly.graph import (
     edge_count,
     empty_graph,
     enumerate_graphs,
-    graphs_up_to,
     is_isomorphic,
     path_graph,
     relabel,
@@ -77,18 +76,6 @@ class TestHandles:
 
 
 class TestCaches:
-    def test_compare_fills_the_cache_it_is_given(self):
-        p, q = parse_handle("chrom"), parse_handle("prop:connected")
-        cache = {}
-        compare(p, q, "dp", 4, cache=cache)
-        assert set(cache) == {(p.key(), g) for g in graphs_up_to(4)}
-
-    def test_implication_scans_share_one_cache(self):
-        p, q = parse_handle("chrom"), parse_handle("indep")
-        cache = {}
-        check_dp_sdp_implication(p, q, 4, cache=cache)
-        assert len(cache) == 2 * len(graphs_up_to(4))
-
     def test_no_module_level_mutable_state(self):
         compare(parse_handle("chrom"), parse_handle("indep"), "dp", 4)
         held = [name for name, value in vars(graphpoly.dpower).items()

@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every module uses each name it imports, and every
+function the benchmark tracer wraps by name exists."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,23 @@ def test_every_imported_name_is_used():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these by name; a deletion here would
+    # break its traced runs without failing anything else
+    source = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(source.read_text(), filename=str(source))
+    spanned = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["SPANNED"])
+    names = [f"{module}.{fn}" for module, fns in spanned.items() for fn in fns]
+    names += ["graph.induced_from_mask", "properties.GraphProperty.holds"]
+    missing = []
+    for name in names:
+        obj = graphpoly
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert len(names) > 2 and missing == []
