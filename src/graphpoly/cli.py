@@ -53,7 +53,7 @@ from .recurrence import fit_family, parse_family_range
 SCHEMA_VERSION = 1
 
 
-def _load_graph(text: str, caps: Caps):
+def _load_graph(text: str):
     """Graph plus display label and notes, from family DSL or a file."""
     if text.startswith("family:"):
         spec = parse_family_spec(text[len("family:"):])
@@ -107,11 +107,10 @@ def _comparison_json(rep: ComparisonReport) -> dict:
 
 def _cmd_compute(args, caps: Caps) -> dict:
     pk = parse_poly_kind(args.poly)
-    g, label, notes = _load_graph(args.graph, caps)
+    g, label, notes = _load_graph(args.graph)
     value = compute_poly(pk, g, caps)
     notes = list(notes)
-    if pk.kind == "span" and pk.prop is not None \
-            and pk.prop.closure_isolated.state != "verified":
+    if pk.kind == "span":
         notes.append(
             "property closure under isolated vertices is unverified; "
             "values of graphs of different order are not comparable")

@@ -60,7 +60,6 @@ from .properties import (
     check_closed_isolated,
     complement_property,
     parse_property,
-    with_closure,
 )
 
 # ------------------------------------------------------------ handles
@@ -392,10 +391,7 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
         raise InputError(f"kind must be ind, span or genchrom, got {kind!r}")
     closure_note = None
     if kind == "span":
-        status = c.closure_isolated
-        if status.state == "undeclared":
-            status = check_closed_isolated(c, bound=n_bound, cap=caps.enum_n)
-            c = with_closure(c, status)
+        status = check_closed_isolated(c, bound=n_bound, cap=caps.enum_n)
         if status.state == "refuted":
             raise InputError(
                 f"property {c.name!r} is not closed under isolated "

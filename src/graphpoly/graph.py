@@ -95,16 +95,8 @@ def edge_count(g: Graph) -> int:
     return sum(a.bit_count() for a in g.adj) // 2
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.adj[v].bit_count()
-
-
 def degrees(g: Graph) -> list[int]:
     return [a.bit_count() for a in g.adj]
-
-
-def has_edge(g: Graph, u: int, v: int) -> bool:
-    return bool(g.adj[u] >> v & 1)
 
 
 def components(adj, mask: int) -> list[int]:

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapError, InputError
@@ -88,7 +87,6 @@ from .graph import (
 from .poly import (
     BiPoly,
     UniPoly,
-    falling_factorial_value,
     falling_to_monomial,
     int_determinant,
     interpolate,
@@ -181,16 +179,18 @@ def matching_generating(g: Graph, cap_n: int | None = None) -> UniPoly:
 def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
-    The builtin edgeless and forest classes run a frontier sweep (below);
-    every other class tests all 2^n vertex masks.
+    The builtin edgeless and forest classes run a frontier sweep (below),
+    bounded by its state count alone; every other class tests all 2^n
+    vertex masks, and only that loop is bounded by cap_n.
     """
-    cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
-    if g.n > cap_n:
-        raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
     sweep = _IND_BY_SWEEP.get(c.predicate)
     if sweep is not None:
         counts = sweep(g)
     else:
+        cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
+        if g.n > cap_n:
+            raise CapError(
+                f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
         counts = [0] * (g.n + 1)
         for mask in range(1, 1 << g.n):
             if c.holds(g, mask):
@@ -199,8 +199,8 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
     return UniPoly(counts)
 
 
-def independence(g: Graph, cap_n: int | None = None) -> UniPoly:
-    return gen_ind(g, builtin("edgeless"), cap_n=cap_n)
+def independence(g: Graph) -> UniPoly:
+    return gen_ind(g, builtin("edgeless"))
 
 
 # builtin spanning classes decided by (n, rank, nullity) of the edge subset
@@ -218,8 +218,8 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
     the rank-nullity table of the frontier sweep (bounded by its state
     count, not by cap_m); every other class runs the 2^m subset loop.
     Every spanning subgraph keeps all n vertices, so contains_null never
-    enters; callers worried about isolated-vertex closure should consult
-    d.closure_isolated before interpreting results across orders.
+    enters; values of graphs of different order are comparable only when D
+    is closed under adding an isolated vertex (check_closed_isolated).
     """
     n = g.n
     select = _SPAN_BY_RANK_NULLITY.get(d.predicate)
@@ -312,18 +312,8 @@ def gen_chromatic_value(g: Graph, c: GraphProperty, k: int,
         raise InputError("color count must be nonnegative")
     blocks = gen_chromatic_blocks(g, c, cap_partition)
     if strict_empty and not c.contains_null:
-        if k >= len(blocks):
-            return 0
-        fact = 1
-        for t in range(2, k + 1):
-            fact *= t
-        return blocks[k] * fact
-    total = Fraction(0)
-    for j, b in enumerate(blocks):
-        if b:
-            total += b * falling_factorial_value(k, j)
-    assert total.denominator == 1
-    return int(total)
+        return blocks[k] * math.factorial(k) if k < len(blocks) else 0
+    return sum(b * math.perm(k, j) for j, b in enumerate(blocks))
 
 
 def _elimination_order(g: Graph) -> list[int]:
@@ -560,15 +550,13 @@ _IND_BY_SWEEP = {
 # ------------------------------------------------------------ dominating, cliques
 
 
-def dominating(g: Graph, cap_n: int | None = None) -> UniPoly:
+def dominating(g: Graph) -> UniPoly:
     """Generating polynomial of nonempty dominating sets, by the vertex sweep.
 
     The state is (needs, covered ahead); the empty set never survives, as
-    every vertex of a graph on n >= 1 vertices retires undominated.
+    every vertex of a graph on n >= 1 vertices retires undominated.  Like
+    every sweep it is bounded by its state count alone.
     """
-    cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
-    if g.n > cap_n:
-        raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
     adj = g.adj
     take = 1 << (g.n + 1)
 
@@ -623,9 +611,6 @@ class PolyKind:
             return self.kind
         return f"{self.kind}:{self.prop.name}"
 
-    def key(self):
-        return (self.kind, self.prop.key() if self.prop else None)
-
 
 BIVARIATE_KINDS = ("tutte",)
 
@@ -637,8 +622,8 @@ _KINDS = {
     "mu": (False, lambda g, c, cap: matching_defect(g, cap.subset_n)),
     "mgen": (False, lambda g, c, cap: matching_generating(g, cap.subset_n)),
     "chrom": (False, lambda g, c, cap: chromatic(g)),
-    "indep": (False, lambda g, c, cap: independence(g, cap.subset_n)),
-    "dom": (False, lambda g, c, cap: dominating(g, cap.subset_n)),
+    "indep": (False, lambda g, c, cap: independence(g)),
+    "dom": (False, lambda g, c, cap: dominating(g)),
     "maxcl": (False,
               lambda g, c, cap: maximal_clique_profile(g, cap.subset_n)),
     "tutte": (False, lambda g, c, cap: tutte(g)),

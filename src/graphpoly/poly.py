@@ -277,15 +277,6 @@ def falling_to_monomial(coeffs) -> UniPoly:
     return result
 
 
-def falling_factorial_value(x, j: int) -> Fraction:
-    """x_(j) = x (x-1) ... (x-j+1) as an exact rational."""
-    x = Fraction(x)
-    acc = Fraction(1)
-    for t in range(j):
-        acc *= x - t
-    return acc
-
-
 # ---------------------------------------------------------------- linear algebra
 
 

@@ -1,14 +1,12 @@
 """Decidable isomorphism-invariant graph properties.
 
-A GraphProperty packages a predicate together with two flags the
-polynomial layer needs:
-
-* contains_null: whether the property holds for the null graph (no
-  vertices).  The null graph is not a Graph value; the flag decides
-  whether the empty vertex subset contributes X^0 to subset sums.
-* closure_isolated: whether the property class is closed under adding an
-  isolated vertex.  This is undeclared until checked; check_closed_isolated
-  verifies it exhaustively up to a bound or produces a witness.
+A GraphProperty packages a predicate together with the one flag the
+polynomial layer needs, contains_null: whether the property holds for the
+null graph (no vertices).  The null graph is not a Graph value; the flag
+decides whether the empty vertex subset contributes X^0 to subset sums.
+Whether the class is closed under adding an isolated vertex is not a
+field but a check: check_closed_isolated verifies it exhaustively up to a
+bound or produces a witness.
 
 A predicate takes (adj, mask): the adjacency bitmasks of a whole graph and
 a nonzero vertex bitmask, and decides the graph that mask induces, so a
@@ -19,13 +17,13 @@ The table _PROPERTIES holds every builtin property once: its name, its
 short forms, its predicate and contains_null.  builtin and parse_property
 read nothing else.  Two rows are families indexed by a cycle length i >= 3,
 written name:i.  Properties are immutable; the complement constructor
-returns a new property with the predicate negated, contains_null flipped,
-and the closure status reset.
+returns a new property with the predicate negated and contains_null
+flipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .caps import DEFAULT_CAPS
@@ -44,8 +42,8 @@ Predicate = Callable[[tuple[int, ...], int], bool]
 
 @dataclass(frozen=True)
 class ClosureStatus:
-    state: str = "undeclared"          # undeclared | verified | refuted
-    bound: int | None = None
+    state: str                         # verified | refuted
+    bound: int
     witness: Graph | None = None
 
 
@@ -54,26 +52,20 @@ class GraphProperty:
     name: str
     predicate: Predicate = field(compare=False)
     contains_null: bool = False
-    closure_isolated: ClosureStatus = ClosureStatus()
 
     def holds(self, g: Graph, mask: int | None = None) -> bool:
         """Does the subgraph of g induced by mask (default: all of g) hold?"""
         return bool(self.predicate(
             g.adj, (1 << g.n) - 1 if mask is None else mask))
 
-    def key(self) -> tuple:
-        """Stable identity for caching computed polynomial values."""
-        return (self.name, self.contains_null)
-
 
 def complement_property(c: GraphProperty) -> GraphProperty:
-    """Pointwise negation; closure information does not transfer."""
+    """Pointwise negation."""
     pred = c.predicate
     return GraphProperty(
         name=f"not({c.name})",
         predicate=lambda adj, mask: not pred(adj, mask),
         contains_null=not c.contains_null,
-        closure_isolated=ClosureStatus(),
     )
 
 
@@ -180,7 +172,3 @@ def check_closed_isolated(c: GraphProperty, bound: int,
             if c.holds(g) and not c.holds(add_isolated_vertex(g)):
                 return ClosureStatus("refuted", bound, g)
     return ClosureStatus("verified", bound, None)
-
-
-def with_closure(c: GraphProperty, status: ClosureStatus) -> GraphProperty:
-    return replace(c, closure_isolated=status)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InputError
+from .errors import CapError, InputError
 from .graph import (
+    MAX_ORDER,
     Graph,
     complete_graph,
     disjoint_union,
@@ -327,8 +328,9 @@ def maxcl_trivial_recognize(s: UniPoly) -> Graph:
 
     A profile sum a_i X^i (a_0 = 0, a_i >= 0, not all zero) is realized by
     the disjoint union of a_i cliques of each size i, and by construction
-    that union has exactly the prescribed maximal cliques.  The witness is
-    re-verified before being returned.
+    that union has exactly the prescribed maximal cliques.  Its order
+    sum i a_i is checked against MAX_ORDER before anything is built, and
+    the witness is re-verified before being returned.
     """
     if s.is_zero():
         raise InputError("the zero profile is realized by no graph")
@@ -340,6 +342,10 @@ def maxcl_trivial_recognize(s: UniPoly) -> Graph:
         raise InputError("profile constant term must be zero")
     if any(c < 0 for c in coeffs):
         raise InputError("profile coefficients must be nonnegative")
+    order = sum(size * count for size, count in enumerate(coeffs))
+    if order > MAX_ORDER:
+        raise CapError(f"profile witness has order {order}, over the bound "
+                       f"of {MAX_ORDER}")
     parts = []
     for size, count in enumerate(coeffs):
         parts.extend(complete_graph(size) for _ in range(count))

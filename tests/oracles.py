@@ -20,10 +20,13 @@ from graphpoly.graph import (
     _vertex_profiles,
     edge_count,
     edge_list,
-    has_edge,
     induced_subgraph,
     is_isomorphic,
 )
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
 
 
 # ---------------------------------------------------------------- poly lists

@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, determinism, and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -94,6 +95,24 @@ class TestFit:
         assert code == 0
         assert rep["found"] is False
 
+    def test_independence_of_ladders(self, capsys):
+        # I(L_n) = trace(T^n) for the 3-state transfer matrix of a rung
+        code, rep = run_cli(capsys, "fit", "--poly", "indep",
+                            "--family", "ladder:3..24",
+                            "--max-order", "3", "--max-deg", "2")
+        assert code == 0
+        assert rep["found"] is True and rep["q"] == 3
+        assert rep["coeffs"] == ["0 0 1", "0 2 1", "1"]
+
+    def test_domination_of_cycles(self, capsys):
+        # Kotek et al. 2012: D(C_n) = X (D(C_(n-1)) + D(C_(n-2)) + D(C_(n-3)))
+        code, rep = run_cli(capsys, "fit", "--poly", "dom",
+                            "--family", "cycle:3..40",
+                            "--max-order", "3", "--max-deg", "2")
+        assert code == 0
+        assert rep["found"] is True
+        assert rep["coeffs"] == ["0 1", "0 1", "0 1"]
+
     def test_two_index_family_runs_along_the_diagonal(self, capsys):
         code, rep = run_cli(capsys, "fit", "--poly", "mu",
                             "--family", "cbipartite:1..8",
@@ -173,6 +192,16 @@ class TestSuites:
         assert code == 2
 
 
+class TestMaxclBuild:
+    def test_order_over_the_bound_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("0 1025\n")
+        assert main(["maxcl-build", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "order 1025" in err and "1024" in err
+        assert "vertex-subset" not in err
+
+
 class TestCompare:
     def test_witness_serialization(self, capsys):
         code, rep = run_cli(capsys, "compare", "--p", "chrom", "--q", "tutte",
@@ -240,14 +269,43 @@ class TestDeterminismAndErrors:
             assert str(MAX_ORDER + 1) in err and str(MAX_ORDER) in err
 
     def test_cap_override(self, capsys):
-        code = main(["compute", "--poly", "indep",
+        code = main(["compute", "--poly", "ind:connected",
                      "--graph", "family:path:4", "--cap-n", "3"])
         assert code == 3
         capsys.readouterr()
-        code2, rep2 = run_cli(capsys, "compute", "--poly", "indep",
+        code2, rep2 = run_cli(capsys, "compute", "--poly", "ind:connected",
                               "--graph", "family:path:4", "--cap-n", "10")
         assert code2 == 0
-        assert rep2["result"] == "1 4 3"
+        assert rep2["result"] == "0 4 3 2 1"
+
+    def test_vertex_sweeps_ignore_the_vertex_cap(self, capsys):
+        for kind, result in (("indep", "1 4 3"), ("dom", "0 0 4 4 1"),
+                             ("ind:edgeless", "1 4 3"),
+                             ("ind:forest", "0 4 6 4 1")):
+            code, rep = run_cli(capsys, "compute", "--poly", kind,
+                                "--graph", "family:path:4", "--cap-n", "3")
+            assert code == 0, kind
+            assert rep["result"] == result, kind
+
+    @pytest.mark.parametrize("kind", ["ind:connected", "mu"])
+    def test_subset_loops_keep_the_vertex_cap(self, capsys, kind):
+        # ladder:11 has 22 vertices, over the default cap of 20
+        code = main(["compute", "--poly", kind,
+                     "--graph", "family:ladder:11"])
+        assert code == 3
+        assert "capped at n <= 20, got 22" in capsys.readouterr().err
+
+    def test_induced_forests_of_a_24_vertex_ladder(self, capsys):
+        code, rep = run_cli(capsys, "compute", "--poly", "ind:forest",
+                            "--graph", "family:ladder:12")
+        assert code == 0
+        coeffs = [int(c) for c in rep["result"].split()]
+        # the circular ladder is bipartite and its only 4-cycles are the 12
+        # squares; two squares share at most two vertices, so no set of
+        # five or fewer vertices holds two of them
+        assert coeffs[:6] == [0, 24, math.comb(24, 2), math.comb(24, 3),
+                              math.comb(24, 4) - 12,
+                              math.comb(24, 5) - 12 * 20]
 
     def test_negative_cap_exit_2(self, capsys):
         for flag in ("--cap-n", "--cap-m", "--cap-partition"):

@@ -20,6 +20,7 @@ from graphpoly.graph import (
     empty_graph,
     enumerate_graphs,
     grid_graph,
+    ladder_graph,
     make_family,
     make_graph,
     parse_family_spec,
@@ -193,9 +194,10 @@ class TestGenInd:
             assert independence(g) == gen_ind(g, generic)
 
     def test_vertex_cap(self):
+        # the cap bounds the 2^n loop of the classes that are not swept
         caps = Caps(subset_n=3)
-        with pytest.raises(CapError):
-            gen_ind(path_graph(4), builtin("edgeless"), cap_n=caps.subset_n)
+        with pytest.raises(CapError, match="vertex-subset sum capped"):
+            gen_ind(path_graph(4), builtin("connected"), cap_n=caps.subset_n)
 
     def test_sweep_classes_match_subset_scan(self):
         for name in ("edgeless", "forest"):
@@ -211,7 +213,7 @@ class TestGenInd:
         prev, cur = UniPoly([1, 1]), UniPoly([1, 2])
         for n in range(3, 41):
             prev, cur = cur, cur + X * prev
-            assert independence(path_graph(n), cap_n=40) == cur
+            assert independence(path_graph(n)) == cur
 
     def test_forests_in_cycles(self):
         # every proper vertex subset of C_n induces a forest
@@ -219,7 +221,20 @@ class TestGenInd:
         for n in range(3, 41):
             expect = one_plus_x_power(n) - UniPoly.monomial(n) \
                 - UniPoly.one()
-            assert gen_ind(cycle_graph(n), forest, cap_n=40) == expect
+            assert gen_ind(cycle_graph(n), forest) == expect
+
+    def test_ladder_transfer_matrix(self):
+        # a rung of the circular ladder takes neither end, the first or the
+        # second; T[a][b] weighs rung state b after a, so I(L_k) = tr(T^k)
+        zero, one = UniPoly.zero(), UniPoly.one()
+        t = [[one, X, X], [one, zero, X], [one, X, zero]]
+        power = t
+        for k in range(2, 25):
+            power = [[sum((power[i][j] * t[j][l] for j in range(3)), zero)
+                      for l in range(3)] for i in range(3)]
+            if k >= 3:
+                assert independence(ladder_graph(k)) \
+                    == power[0][0] + power[1][1] + power[2][2], k
 
     def test_independence_is_complement_clique_polynomial(self):
         rng = random.Random(15)
@@ -527,7 +542,7 @@ class TestDominating:
         d = [dominating(cycle_graph(n)) for n in (3, 4, 5)]
         for n in range(6, 31):
             d.append(X * (d[-1] + d[-2] + d[-3]))
-            assert dominating(cycle_graph(n), cap_n=30) == d[-1]
+            assert dominating(cycle_graph(n)) == d[-1]
 
 
 class TestMaximalCliques:

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, and linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from graphpoly.poly import (
     MINUS_INFINITY,
     BiPoly,
     UniPoly,
-    falling_factorial_value,
     falling_to_monomial,
     int_determinant,
     interpolate,
@@ -118,11 +118,12 @@ class TestFallingFactorial:
         mono = falling_to_monomial(c)
         for k in range(6):
             assert mono.evaluate(k) == sum(
-                cj * falling_factorial_value(k, j) for j, cj in enumerate(c))
+                cj * math.perm(k, j) for j, cj in enumerate(c))
 
     def test_falling_value(self):
-        assert falling_factorial_value(5, 3) == 60
-        assert falling_factorial_value(2, 4) == 0
+        # the basis element X_(j) evaluates to the falling factorial k_(j)
+        assert falling_to_monomial([0, 0, 0, 1]).evaluate(5) == 60
+        assert falling_to_monomial([0, 0, 0, 0, 1]).evaluate(2) == 0
 
 
 class TestInterpolate:

@@ -173,10 +173,9 @@ class TestComplement:
             for g in enumerate_graphs(n):
                 assert notc.holds(g) == disc.holds(g)
 
-    def test_complement_flips_null_flag_and_resets_closure(self):
+    def test_complement_flips_null_flag(self):
         c = complement_property(builtin("edgeless"))
         assert not c.contains_null
-        assert c.closure_isolated.state == "undeclared"
 
 
 class TestIsomorphismInvariance:
