@@ -64,7 +64,10 @@ few dozen vertices stay in range.  The transition sets:
 
 The last three take or skip each vertex and count vertex subsets by size.
 A sweep raises CapError once it holds more than the fixed MAX_STATES
-states, naming the sweep, the state count, the step and the cap.
+states, naming the sweep, the state count, the step and the cap.  A count
+that packs a polynomial grows with the graph (up to (n + 1)^2 bits in a
+vertex sweep), so a sweep also raises CapError once its counts hold more
+than MAX_COUNT_BITS bits together, naming the bit total instead.
 
 The table _KINDS holds every PolyKind name, whether it takes a property,
 and its computation; parse_poly_kind and compute_poly read nothing else.
@@ -95,6 +98,8 @@ from .properties import GraphProperty, builtin, parse_property
 
 # the most states one step of a frontier sweep may hold
 MAX_STATES = 500_000
+# the most bits the counts of one step may hold together (128 MiB)
+MAX_COUNT_BITS = 1 << 30
 
 # ------------------------------------------------------------ characteristic
 
@@ -180,8 +185,9 @@ def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
     The builtin edgeless and forest classes run a frontier sweep (below),
-    bounded by its state count alone; every other class tests all 2^n
-    vertex masks, and only that loop is bounded by cap_n.
+    bounded by its state count and count bits, not by cap_n; every other
+    class tests all 2^n vertex masks, and only that loop is bounded by
+    cap_n.
     """
     sweep = _IND_BY_SWEEP.get(c.predicate)
     if sweep is not None:
@@ -216,7 +222,8 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
 
     The builtin forest, connected and disconnected classes are read off
     the rank-nullity table of the frontier sweep (bounded by its state
-    count, not by cap_m); every other class runs the 2^m subset loop.
+    count and count bits, not by cap_m); every other class runs the 2^m
+    subset loop.
     Every spanning subgraph keeps all n vertices, so contains_null never
     enters; values of graphs of different order are comparable only when D
     is closed under adding an isolated vertex (check_closed_isolated).
@@ -382,6 +389,11 @@ def _frontier_sweep(g: Graph, start, expand, name: str) -> dict:
             raise CapError(
                 f"{name} frontier sweep reached {len(states)} states at "
                 f"step {step + 1} of {g.n}, over the cap of {MAX_STATES}")
+        held = sum(map(int.bit_length, states.values()))
+        if held > MAX_COUNT_BITS:
+            raise CapError(
+                f"{name} frontier sweep reached {held} count bits at "
+                f"step {step + 1} of {g.n}, over the cap of {MAX_COUNT_BITS}")
     return states
 
 
@@ -555,7 +567,7 @@ def dominating(g: Graph) -> UniPoly:
 
     The state is (needs, covered ahead); the empty set never survives, as
     every vertex of a graph on n >= 1 vertices retires undominated.  Like
-    every sweep it is bounded by its state count alone.
+    every sweep it is bounded by its state count and count bits alone.
     """
     adj = g.adj
     take = 1 << (g.n + 1)

@@ -307,6 +307,25 @@ class TestDeterminismAndErrors:
                               math.comb(24, 4) - 12,
                               math.comb(24, 5) - 12 * 20]
 
+    def test_wide_sweep_exits_3_in_bounded_memory(self):
+        # the domination counts of a 20x20 grid outgrow the count-bit cap
+        # long before the state cap; 1 GiB of address space is ample
+        import resource
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphpoly", "compute", "--poly", "dom",
+             "--graph", "family:grid:20x20"],
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=cap_memory)
+        assert proc.returncode == 3
+        assert "domination frontier sweep reached" in proc.stderr
+        assert "count bits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_negative_cap_exit_2(self, capsys):
         for flag in ("--cap-n", "--cap-m", "--cap-partition"):
             code = main(["enumerate", "--n", "3", flag, "-1"])

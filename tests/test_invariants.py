@@ -246,18 +246,29 @@ class TestGenInd:
                 assert independence(g) \
                     == UniPoly.one() + gen_ind(complement_graph(g), clique)
 
-    @pytest.mark.parametrize("name,run", [
+    SWEEPS = [
         ("independence", lambda g: independence(g)),
         ("ind:forest", lambda g: gen_ind(g, builtin("forest"))),
         ("domination", lambda g: dominating(g)),
         ("chromatic", lambda g: chromatic(g)),
         ("rank-nullity", lambda g: tutte(g)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name,run", SWEEPS)
     def test_state_cap_names_polynomial_count_and_step(self, name, run,
                                                        monkeypatch):
         monkeypatch.setattr(invariants, "MAX_STATES", 3)
         with pytest.raises(CapError, match=rf"^{name} frontier sweep reached "
                            r"\d+ states at step \d+ of 16, over the cap of 3$"):
+            run(grid_graph(4, 4))
+
+    @pytest.mark.parametrize("name,run", SWEEPS)
+    def test_count_bit_cap_names_polynomial_bits_and_step(self, name, run,
+                                                          monkeypatch):
+        monkeypatch.setattr(invariants, "MAX_COUNT_BITS", 40)
+        with pytest.raises(CapError, match=rf"^{name} frontier sweep reached "
+                           r"\d+ count bits at step \d+ of 16, over the cap "
+                           r"of 40$"):
             run(grid_graph(4, 4))
 
 
