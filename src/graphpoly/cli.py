@@ -182,7 +182,7 @@ def _cmd_screen(args, caps: Caps) -> dict:
 
 def _cmd_maxcl_build(args, caps: Caps) -> dict:
     p = _load_poly(args.input, False)
-    witness = maxcl_trivial_recognize(p)
+    witness = maxcl_trivial_recognize(p, caps)
     return {"profile": p.text(), "graph": format_graph(witness),
             "verified": True}
 

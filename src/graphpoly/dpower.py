@@ -146,7 +146,8 @@ def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
         raise InputError(f"mode must be dp or sdp, got {mode!r}")
     universe = graphs_up_to(n_bound, cap=caps.enum_n)
     vals_p = [evaluate_handle(p, g, caps) for g in universe]
-    vals_q = [evaluate_handle(q, g, caps) for g in universe]
+    vals_q = vals_p if q == p else [evaluate_handle(q, g, caps)
+                                    for g in universe]
     sigs = [signature(g) for g in universe]
     forward = _direction(universe, vals_p, vals_q, sigs, mode)
     backward = _direction(universe, vals_q, vals_p, sigs, mode)

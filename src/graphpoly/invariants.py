@@ -4,8 +4,10 @@ For a graph G on n vertices and m edges this module computes, always over
 exact rationals or integers:
 
 * char_poly: det(X I - M) with M the adjacency or Laplacian matrix, by
-  evaluation at X = 0..n with fraction-free integer determinants followed
-  by interpolation; the result is asserted monic with integer entries.
+  Hessenberg reduction modulo primes below 2^61 and the Chinese remainder
+  theorem, until the product of the primes exceeds 2 (1 + R)^n with R the
+  largest absolute row sum of M, which bounds every coefficient; the
+  result is asserted monic with integer entries.
 * matching_numbers m_k, the defect form  sum_k (-1)^k m_k X^(n-2k)  and
   the generating form  sum_k m_k X^k.
 * gen_ind(G, C) = sum of X^|A| over vertex subsets A with G[A] in C; the
@@ -91,8 +93,7 @@ from .poly import (
     BiPoly,
     UniPoly,
     falling_to_monomial,
-    int_determinant,
-    interpolate,
+    int_char_poly,
 )
 from .properties import GraphProperty, builtin, parse_property
 
@@ -116,19 +117,10 @@ def _matrix(g: Graph, which: str) -> list[list[int]]:
 
 def char_poly(g: Graph, matrix: str = "adjacency") -> UniPoly:
     """det(X I - M), monic of degree n with integer coefficients."""
-    m = _matrix(g, matrix)
-    n = g.n
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)]
-                   for i in range(n)]
-        ys.append(int_determinant(shifted))
-    p = interpolate(xs, ys)
-    coeffs = p.integer_coefficients()
-    if len(coeffs) != n + 1 or coeffs[-1] != 1:
+    coeffs = int_char_poly(_matrix(g, matrix))
+    if len(coeffs) != g.n + 1 or coeffs[-1] != 1:
         raise ValueError("characteristic polynomial failed the monic check")
-    return p
+    return UniPoly(coeffs)
 
 
 # ------------------------------------------------------------ matchings

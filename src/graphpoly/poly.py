@@ -3,8 +3,9 @@
 This module is the arithmetic layer for the whole package: dense univariate
 polynomials over Q, bivariate coefficient grids over Z (evaluation and text
 only), the falling-factorial basis, and exact linear algebra (a
-fraction-free Bareiss solver, integer determinants, Newton interpolation).
-No floating point appears anywhere.
+fraction-free Bareiss solver, integer determinants, Newton interpolation,
+and integer characteristic polynomials by Hessenberg reduction modulo
+primes).  No floating point appears anywhere.
 
 Conventions:
 
@@ -25,7 +26,9 @@ Text formats, shared bit-exactly with the CLI:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -376,6 +379,121 @@ def int_determinant(rows) -> int:
             ai[c] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
+
+
+# Miller-Rabin to the first twelve prime bases is exact below
+# 318665857834031151167461 (3.2e23), the least strong pseudoprime to all
+# of them; the moduli lie below 2^61
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n below 3.2e23."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _modulus(i: int) -> int:
+    """The i-th largest prime below 2^61 (i = 0 gives 2^61 - 1), found on
+    first use."""
+    c = _modulus(i - 1) - 2 if i else (1 << 61) - 1
+    while not _is_prime(c):
+        c -= 2
+    return c
+
+
+def _char_poly_mod(rows, p: int) -> list[int]:
+    """Ascending coefficients of det(X I - A) mod p, p prime.
+
+    A is reduced to upper Hessenberg form H by similarity transforms, and
+    the characteristic polynomials of the leading blocks of H follow from
+    one recurrence (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9); O(n^3) operations mod p.
+    """
+    n = len(rows)
+    h = [[c % p for c in row] for row in rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        top = h[m][m - 1:]
+        us = [h[i][m - 1] * inv % p for i in range(m + 1, n)]
+        # rows i > m lose u_i times row m, then column m gains u_i times
+        # column i: the similarity by the same elimination matrix
+        for i, u in enumerate(us, m + 1):
+            if u:
+                hi = h[i]
+                hi[m - 1:] = [(a - u * b) % p for a, b in zip(hi[m - 1:], top)]
+        for row in h:
+            row[m] = (row[m] + sum(map(operator.mul, us, row[m + 1:]))) % p
+    # polys[k] = det(X I - H[:k, :k]); row k contributes its diagonal and,
+    # through the subdiagonal products t, the entries above it in column k
+    polys = [[1]]
+    for k in range(n):
+        d = h[k][k]
+        new = [a - d * b for a, b in zip([0] + polys[k], polys[k] + [0])]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = h[i][k] * t % p
+            new[:i + 1] = [a - c * b for a, b in zip(new, polys[i])]
+        polys.append([c % p for c in new])
+    return polys[n]
+
+
+def int_char_poly(rows) -> list[int]:
+    """Ascending integer coefficients of det(X I - A) for a square integer A.
+
+    With R the largest absolute row sum every eigenvalue has modulus at
+    most R, so every coefficient is at most (1 + R)^n in absolute value.
+    The residues modulo the primes below 2^61 are combined by the Chinese
+    remainder theorem until their product exceeds twice that bound, and
+    the symmetric lift then recovers the coefficients exactly.
+    """
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise InputError("characteristic polynomial needs a square matrix")
+    r = max((sum(abs(c) for c in row) for row in rows), default=0)
+    bound = 2 * (1 + r) ** n
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    i = 0
+    while modulus <= bound:
+        p = _modulus(i)
+        i += 1
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((x - c) * inv % p)
+                  for c, x in zip(coeffs, _char_poly_mod(rows, p))]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def interpolate(xs, ys) -> UniPoly:

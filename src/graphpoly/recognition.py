@@ -323,14 +323,16 @@ def chromatic_screen(p: UniPoly) -> ScreenReport:
     return ScreenReport(checks=tuple(checks))
 
 
-def maxcl_trivial_recognize(s: UniPoly) -> Graph:
+def maxcl_trivial_recognize(s: UniPoly,
+                            caps: Caps = DEFAULT_CAPS) -> Graph:
     """Invert the maximal-clique profile on its full image.
 
     A profile sum a_i X^i (a_0 = 0, a_i >= 0, not all zero) is realized by
     the disjoint union of a_i cliques of each size i, and by construction
     that union has exactly the prescribed maximal cliques.  Its order
     sum i a_i is checked against MAX_ORDER before anything is built, and
-    the witness is re-verified before being returned.
+    the witness is re-verified, by a maximal-clique search capped at
+    caps.subset_n vertices, before being returned.
     """
     if s.is_zero():
         raise InputError("the zero profile is realized by no graph")
@@ -350,6 +352,6 @@ def maxcl_trivial_recognize(s: UniPoly) -> Graph:
     for size, count in enumerate(coeffs):
         parts.extend(complete_graph(size) for _ in range(count))
     witness = disjoint_union(parts)
-    if maximal_clique_profile(witness) != s:
+    if maximal_clique_profile(witness, caps.subset_n) != s:
         raise ValueError("constructed witness failed re-verification")
     return witness

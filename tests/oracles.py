@@ -8,7 +8,10 @@ form and a bucket-and-dedupe class enumeration.  Nothing shares
 algorithmic code with the package beyond the Graph accessors and, for the
 class enumeration, the backtracking is_isomorphic and its vertex profiles,
 which the package's canonical form does not use; polynomial arithmetic is
-done on plain coefficient lists.
+done on plain coefficient lists.  The one exception is
+char_poly_by_interpolation, the package's former characteristic
+polynomial: n + 1 Bareiss determinants and Newton interpolation from
+graphpoly.poly, which its modular Hessenberg path does not use.
 """
 
 import functools
@@ -23,6 +26,7 @@ from graphpoly.graph import (
     induced_subgraph,
     is_isomorphic,
 )
+from graphpoly.poly import int_determinant, interpolate
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -87,8 +91,12 @@ def _matrix(g: Graph, which: str):
 
 def perm_char(g: Graph, matrix: str = "adjacency"):
     """det(X*I - M) by permutation expansion; ascending int coefficients."""
-    mat = _matrix(g, matrix)
-    n = g.n
+    return perm_char_of_matrix(_matrix(g, matrix))
+
+
+def perm_char_of_matrix(mat):
+    """det(X*I - mat) for a square integer matrix, by permutation expansion."""
+    n = len(mat)
     total = []
     for perm in permutations(range(n)):
         term = [_perm_sign(perm)]
@@ -100,6 +108,17 @@ def perm_char(g: Graph, matrix: str = "adjacency"):
                 break
         total = padd(total, term)
     return tuple(total)
+
+
+def char_poly_by_interpolation(g: Graph, matrix: str = "adjacency"):
+    """det(X*I - M) through its values at X = 0..n; a UniPoly."""
+    mat = _matrix(g, matrix)
+    n = g.n
+    xs = range(n + 1)
+    ys = [int_determinant([[(x if i == j else 0) - mat[i][j]
+                            for j in range(n)] for i in range(n)])
+          for x in xs]
+    return interpolate(xs, ys)
 
 
 def perm_det(mat):
@@ -485,6 +504,34 @@ def tutte_rank_sum(g: Graph):
                 c = cnt * binom(a, i) * binom(b, j) * (-1) ** (a - i + b - j)
                 out[(i, j)] = out.get((i, j), 0) + c
     return {k: c for k, c in out.items() if c != 0}
+
+
+# ---------------------------------------------------------------- primes
+
+# deliberately disjoint from the package's Miller-Rabin bases 2..37
+SPRP_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def is_strong_probable_prime(n: int, bases=SPRP_BASES) -> bool:
+    """Trial division by the primes below 100, then strong-probable-prime
+    tests to the given bases."""
+    if n < 2:
+        return False
+    small = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    for p in small:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        if all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- misc

@@ -201,6 +201,18 @@ class TestMaxclBuild:
         assert "order 1025" in err and "1024" in err
         assert "vertex-subset" not in err
 
+    def test_cap_n_reaches_the_reverification(self, capsys, tmp_path):
+        # eleven disjoint edges: 22 vertices, over the default cap of 20
+        path = tmp_path / "profile.txt"
+        path.write_text("0 0 11\n")
+        assert main(["maxcl-build", "--input", str(path)]) == 3
+        assert "got 22" in capsys.readouterr().err
+        code, rep = run_cli(capsys, "maxcl-build", "--input", str(path),
+                            "--cap-n", "30")
+        assert code == 0
+        assert rep["verified"] is True
+        assert rep["graph"].startswith("22 11\n")
+
 
 class TestCompare:
     def test_witness_serialization(self, capsys):

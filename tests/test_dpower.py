@@ -83,6 +83,20 @@ class TestCaches:
                 and not name.startswith("__")]
         assert held == []
 
+    def test_a_handle_compared_with_itself_is_evaluated_once(self,
+                                                            monkeypatch):
+        calls = []
+
+        def counting(handle, g, caps=None):
+            calls.append(g)
+            return evaluate_handle(handle, g)
+
+        monkeypatch.setattr(graphpoly.dpower, "evaluate_handle", counting)
+        tutte = parse_handle("tutte")
+        rep = compare(tutte, parse_handle("tutte"), "dp", 5)
+        assert not rep.p_le_q.refuted and not rep.q_le_p.refuted
+        assert len(calls) == len(graphpoly.graph.graphs_up_to(5)) == 52
+
 
 class TestCompare:
     def test_chromatic_vs_tutte_dp(self):

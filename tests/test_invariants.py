@@ -19,6 +19,8 @@ from graphpoly.graph import (
     edge_list,
     empty_graph,
     enumerate_graphs,
+    family_member,
+    graphs_up_to,
     grid_graph,
     ladder_graph,
     make_family,
@@ -47,6 +49,7 @@ from graphpoly.invariants import (
     parse_poly_kind,
     tutte,
 )
+from graphpoly.orthopoly import chebyshev_t, chebyshev_u
 from graphpoly.poly import BiPoly, UniPoly, int_determinant
 from graphpoly.properties import GraphProperty, builtin, complement_property
 
@@ -112,6 +115,53 @@ class TestCharPoly:
     def test_unknown_matrix(self):
         with pytest.raises(InputError):
             char_poly(complete_graph(2), "incidence")
+
+    @pytest.mark.parametrize("matrix", ["adjacency", "laplacian"])
+    def test_matches_interpolation_on_every_class_to_order_7(self, matrix):
+        for g in graphs_up_to(7):
+            assert char_poly(g, matrix) \
+                == oracles.char_poly_by_interpolation(g, matrix)
+
+    @pytest.mark.parametrize("family, lo, hi, matrix", [
+        ("ladder", 3, 24, "adjacency"), ("wheel", 3, 40, "adjacency"),
+        ("cycle", 3, 40, "laplacian"), ("clique", 1, 40, "laplacian")])
+    def test_matches_interpolation_along_families(self, family, lo, hi,
+                                                  matrix):
+        for k in range(lo, hi + 1):
+            g = family_member(family, k)
+            assert char_poly(g, matrix) \
+                == oracles.char_poly_by_interpolation(g, matrix)
+
+    def test_paths_give_chebyshev_u(self):
+        two_x = UniPoly([0, 2])
+        for n in range(1, 41):
+            assert char_poly(path_graph(n)).substitute(two_x) \
+                == chebyshev_u(n)
+
+    def test_cycles_give_chebyshev_t(self):
+        two_x = UniPoly([0, 2])
+        for n in range(3, 41):
+            assert char_poly(cycle_graph(n)).substitute(two_x) \
+                == 2 * chebyshev_t(n) - 2
+
+    def test_second_coefficient_counts_edges(self):
+        rng = random.Random(12)
+        for n in range(2, 41):
+            graphs = [path_graph(n), complete_graph(n),
+                      make_graph(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n)
+                                     if rng.random() < 0.3])]
+            if n >= 4:
+                graphs.append(wheel_graph(n - 1))
+            for g in graphs:
+                assert char_poly(g).coefficient(n - 2) == -edge_count(g)
+
+    def test_laplacian_linear_coefficient_counts_spanning_trees(self):
+        for g in (ladder_graph(20), wheel_graph(12), grid_graph(4, 4)):
+            n = g.n
+            trees = tutte(g).evaluate(1, 1)
+            assert char_poly(g, "laplacian").coefficient(1) \
+                == (-1) ** (n - 1) * n * trees
 
 
 class TestMatchings:

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from graphpoly import poly
 from graphpoly.errors import InputError
 from graphpoly.poly import (
     MINUS_INFINITY,
     BiPoly,
     UniPoly,
     falling_to_monomial,
+    int_char_poly,
     int_determinant,
     interpolate,
     solve_linear_exact,
@@ -173,6 +175,71 @@ class TestLinearAlgebra:
         assert sol is not None
         assert sum(sol) == 3
         assert sol.count(0) >= 1
+
+
+class TestIntCharPoly:
+    def test_matches_permutation_expansion(self):
+        # sparse, signed and unsymmetric, so pivots are swapped in and
+        # subdiagonal entries vanish
+        rng = random.Random(4)
+        for n in (1, 2, 3, 4, 5, 6):
+            for _ in range(12):
+                mat = [[rng.choice((0, 0, 0, 1, -1, 3, -7))
+                        for _ in range(n)] for _ in range(n)]
+                assert tuple(int_char_poly(mat)) \
+                    == oracles.perm_char_of_matrix(mat)
+
+    def test_zero_and_identity(self):
+        assert int_char_poly([[0] * 3 for _ in range(3)]) == [0, 0, 0, 1]
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        assert int_char_poly(eye) == [1, -4, 6, -4, 1]
+
+    def test_non_square_is_an_input_error(self):
+        with pytest.raises(InputError):
+            int_char_poly([[1, 2], [3]])
+
+    def test_moduli_are_the_largest_primes_below_2_to_61(self):
+        moduli = [poly._modulus(i) for i in range(8)]
+        assert moduli[0] == 2 ** 61 - 1
+        assert all(a > b for a, b in zip(moduli, moduli[1:]))
+        assert len(set(moduli)) == len(moduli)
+        assert all(oracles.is_strong_probable_prime(p) for p in moduli)
+        # and no prime is skipped between two of them
+        for hi, lo in zip(moduli, moduli[1:]):
+            assert not any(oracles.is_strong_probable_prime(c)
+                           for c in range(lo + 1, hi))
+
+    def test_primality_agrees_with_an_independent_check(self):
+        for n in range(3000):
+            assert poly._is_prime(n) == oracles.is_strong_probable_prime(n)
+        # strong pseudoprimes to the bases 2..7 and 2..31
+        for n in (3215031751, 3825123056546413051):
+            assert not oracles.is_strong_probable_prime(n)
+            assert not poly._is_prime(n)
+        # the least strong pseudoprime to all of 2..37, where the library's
+        # test stops being exact, far above the moduli
+        psi12 = 318665857834031151167461
+        assert not oracles.is_strong_probable_prime(psi12)
+        assert poly._is_prime(psi12) and psi12 > 2 ** 78
+
+    def test_lift_across_three_moduli(self, monkeypatch):
+        # the Laplacian of K_40 has char poly X (X - 40)^39: coefficients of
+        # both signs up to 2^200, past the product of two moduli
+        n = 40
+        rows = [[n - 1 if i == j else -1 for j in range(n)] for i in range(n)]
+        residues = []
+        real = poly._char_poly_mod
+
+        def spy(rows, p):
+            residues.append(p)
+            return real(rows, p)
+
+        monkeypatch.setattr(poly, "_char_poly_mod", spy)
+        expected = [0] + [oracles.binom(n - 1, k) * (-n) ** (n - 1 - k)
+                          for k in range(n)]
+        assert int_char_poly(rows) == expected
+        assert len(residues) >= 3
+        assert min(expected) < -poly._modulus(0) * poly._modulus(1)
 
 
 class TestBiPoly:
