@@ -9,16 +9,16 @@ exact rationals or integers:
   largest absolute row sum of M, which bounds every coefficient; the
   result is asserted monic with integer entries.
 * matching_numbers m_k, the defect form  sum_k (-1)^k m_k X^(n-2k)  and
-  the generating form  sum_k m_k X^k.
+  the generating form  sum_k m_k X^k, by the matching sweep (below).
 * gen_ind(G, C) = sum of X^|A| over vertex subsets A with G[A] in C; the
   empty subset contributes X^0 exactly when C contains the null graph.
   independence is the edgeless instance.  The builtin edgeless and forest
   classes are counted by the frontier engine (below); other classes test
   all 2^n vertex masks.
 * gen_span(G, D) = sum of X^|B| over edge subsets B with (V, B) in D.
-  For the builtin forest, connected and disconnected classes membership
-  depends only on the rank and nullity of B, so these read the counts of
-  the rank-nullity sweep (below); other classes test all 2^m subsets.
+  The builtin forest, connected and disconnected classes depend only on
+  the rank and nullity of B and read the rank-nullity sweep, match_like
+  (B a matching) the matching sweep (below); the rest test all 2^m subsets.
 * gen_chromatic(G, C): count partitions of V into exactly j nonempty
   blocks, each inducing a member of C, then expand sum_j b_j X_(j) from
   the falling-factorial basis.  Evaluated at a nonnegative integer this
@@ -56,6 +56,8 @@ few dozen vertices stay in range.  The transition sets:
 * rank-nullity: the connectivity partition that the chosen edges induce
   on the frontier and the number of retired components, with counts
   packed by nullity.  v joins any subset of the blocks it has edges into.
+* matchings: the later vertices already matched, with counts packed by
+  matching size; an unmatched v may match a later neighbour outside it.
 * independence: the unprocessed vertices adjacent to a chosen one, which
   can no longer be chosen.
 * domination: the processed, unchosen vertices still waiting for a chosen
@@ -67,9 +69,9 @@ few dozen vertices stay in range.  The transition sets:
 The last three take or skip each vertex and count vertex subsets by size.
 A sweep raises CapError once it holds more than the fixed MAX_STATES
 states, naming the sweep, the state count, the step and the cap.  A count
-that packs a polynomial grows with the graph (up to (n + 1)^2 bits in a
-vertex sweep), so a sweep also raises CapError once its counts hold more
-than MAX_COUNT_BITS bits together, naming the bit total instead.
+that packs a polynomial grows with the graph, so a sweep also raises
+CapError once its counts hold more than MAX_COUNT_BITS bits together,
+naming the bit total instead.
 
 The table _KINDS holds every PolyKind name, whether it takes a property,
 and its computation; parse_poly_kind and compute_poly read nothing else.
@@ -126,48 +128,39 @@ def char_poly(g: Graph, matrix: str = "adjacency") -> UniPoly:
 # ------------------------------------------------------------ matchings
 
 
-def matching_numbers(g: Graph, cap_n: int | None = None) -> tuple[int, ...]:
-    """Counts of k-edge matchings, trailing zeros stripped (m_0 = 1)."""
-    cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
-    if g.n > cap_n:
-        raise CapError(
-            f"matching counts capped at n <= {cap_n}, got {g.n}")
+def matching_numbers(g: Graph) -> tuple[int, ...]:
+    """Counts of k-edge matchings, trailing zeros stripped (m_0 = 1).
+
+    The frontier sweep's state is the later vertices already matched; no
+    field of m + 1 bits carries, as at most C(m, k) matchings have k edges.
+    """
     adj = g.adj
-    memo: dict[int, list[int]] = {0: [1]}
+    width = edge_count(g) + 1
+    take = 1 << width
 
-    def count(mask: int) -> list[int]:
-        known = memo.get(mask)
-        if known is not None:
-            return known
-        u = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << u)
-        acc = list(count(rest))                 # u unmatched
-        for v in bits(adj[u] & rest):
-            sub = count(rest ^ (1 << v))        # u matched to v
-            if len(acc) < len(sub) + 1:
-                acc.extend([0] * (len(sub) + 1 - len(acc)))
-            for k, c in enumerate(sub):
-                acc[k + 1] += c
-        memo[mask] = acc
-        return acc
+    def expand(used, v, ahead, gone):
+        if used >> v & 1:
+            yield used & ahead, 1
+            return
+        yield used, 1
+        for w in bits(adj[v] & ahead & ~used):
+            yield used | 1 << w, take
 
-    out = count((1 << g.n) - 1)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    packed = sum(_frontier_sweep(g, 0, expand, "matching").values())
+    size = (packed.bit_length() - 1) // width + 1    # to the top nonzero field
+    return tuple(_fields(packed, width, size))
 
 
-def matching_defect(g: Graph, cap_n: int | None = None) -> UniPoly:
+def matching_defect(g: Graph) -> UniPoly:
     """sum_k (-1)^k m_k X^(n-2k), the matching polynomial in defect form."""
-    nums = matching_numbers(g, cap_n=cap_n)
     coeffs = [0] * (g.n + 1)
-    for k, mk in enumerate(nums):
+    for k, mk in enumerate(matching_numbers(g)):
         coeffs[g.n - 2 * k] = (-1) ** k * mk
     return UniPoly(coeffs)
 
 
-def matching_generating(g: Graph, cap_n: int | None = None) -> UniPoly:
-    return UniPoly(matching_numbers(g, cap_n=cap_n))
+def matching_generating(g: Graph) -> UniPoly:
+    return UniPoly(matching_numbers(g))
 
 
 # ------------------------------------------------------------ subset sums
@@ -201,33 +194,39 @@ def independence(g: Graph) -> UniPoly:
     return gen_ind(g, builtin("edgeless"))
 
 
-# builtin spanning classes decided by (n, rank, nullity) of the edge subset
-_SPAN_BY_RANK_NULLITY = {
-    builtin("forest").predicate: lambda n, r, b: b == 0,
-    builtin("connected").predicate: lambda n, r, b: r == n - 1,
-    builtin("disconnected").predicate: lambda n, r, b: r <= n - 2,
+def _spanning(keep):
+    """Edge subsets by size whose (n, rank, nullity) satisfies keep."""
+    def counts(g: Graph) -> list[int]:
+        out = [0] * (edge_count(g) + 1)
+        for (r, b), ways in _rank_nullity_counts(g).items():
+            if keep(g.n, r, b):
+                out[r + b] += ways
+        return out
+    return counts
+
+
+# builtin spanning classes that a sweep counts directly, by edge count
+_SPAN_BY_SWEEP = {
+    builtin("forest").predicate: _spanning(lambda n, r, b: b == 0),
+    builtin("connected").predicate: _spanning(lambda n, r, b: r == n - 1),
+    builtin("disconnected").predicate: _spanning(lambda n, r, b: r <= n - 2),
+    builtin("match_like").predicate: matching_numbers,
 }
 
 
 def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
     """Generating polynomial of edge subsets whose spanning graph is in D.
 
-    The builtin forest, connected and disconnected classes are read off
-    the rank-nullity table of the frontier sweep (bounded by its state
-    count and count bits, not by cap_m); every other class runs the 2^m
-    subset loop.
+    The classes in _SPAN_BY_SWEEP (builtin forest, connected, disconnected
+    and match_like) run a frontier sweep, bounded by its state count and
+    count bits, not by cap_m; every other class runs the 2^m subset loop.
     Every spanning subgraph keeps all n vertices, so contains_null never
     enters; values of graphs of different order are comparable only when D
     is closed under adding an isolated vertex (check_closed_isolated).
     """
-    n = g.n
-    select = _SPAN_BY_RANK_NULLITY.get(d.predicate)
-    if select is not None:
-        counts = [0] * (edge_count(g) + 1)
-        for (r, b), ways in _rank_nullity_counts(g).items():
-            if select(n, r, b):
-                counts[r + b] += ways
-        return UniPoly(counts)
+    sweep = _SPAN_BY_SWEEP.get(d.predicate)
+    if sweep is not None:
+        return UniPoly(sweep(g))
     cap_m = DEFAULT_CAPS.subset_m if cap_m is None else cap_m
     edges = edge_list(g)
     m = len(edges)
@@ -235,7 +234,7 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
         raise CapError(f"edge-subset sum capped at m <= {cap_m}, got {m}")
     counts = [0] * (m + 1)
     for emask in range(1 << m):
-        adj = [0] * n
+        adj = [0] * g.n
         mm = emask
         while mm:
             b = mm & -mm
@@ -243,7 +242,7 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             mm ^= b
-        if d.holds(Graph(n, tuple(adj))):
+        if d.holds(Graph(g.n, tuple(adj))):
             counts[emask.bit_count()] += 1
     return UniPoly(counts)
 
@@ -581,7 +580,8 @@ def maximal_clique_profile(g: Graph, cap_n: int | None = None) -> UniPoly:
     """sum_i (number of maximal cliques of size i) X^i."""
     cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
     if g.n > cap_n:
-        raise CapError(f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
+        raise CapError(
+            f"maximal-clique search capped at n <= {cap_n}, got {g.n}")
     counts = [0] * (g.n + 1)
 
     def expand(r_size: int, p_mask: int, x_mask: int) -> None:
@@ -623,8 +623,8 @@ BIVARIATE_KINDS = ("tutte",)
 _KINDS = {
     "char": (False, lambda g, c, cap: char_poly(g, "adjacency")),
     "charL": (False, lambda g, c, cap: char_poly(g, "laplacian")),
-    "mu": (False, lambda g, c, cap: matching_defect(g, cap.subset_n)),
-    "mgen": (False, lambda g, c, cap: matching_generating(g, cap.subset_n)),
+    "mu": (False, lambda g, c, cap: matching_defect(g)),
+    "mgen": (False, lambda g, c, cap: matching_generating(g)),
     "chrom": (False, lambda g, c, cap: chromatic(g)),
     "indep": (False, lambda g, c, cap: independence(g)),
     "dom": (False, lambda g, c, cap: dominating(g)),

@@ -12,6 +12,8 @@ done on plain coefficient lists.  The one exception is
 char_poly_by_interpolation, the package's former characteristic
 polynomial: n + 1 Bareiss determinants and Newton interpolation from
 graphpoly.poly, which its modular Hessenberg path does not use.
+matchings_by_memo is the package's former matching count, a memo over
+vertex masks that shares nothing with the frontier sweep replacing it.
 """
 
 import functools
@@ -406,6 +408,31 @@ def matchings_by_size(g: Graph):
             break
         counts[size] = total
     return tuple(counts[i] for i in sorted(counts))
+
+
+def matchings_by_memo(g: Graph):
+    """The package's former matching counts: the lowest vertex of a mask is
+    unmatched or matched to a neighbour in it, memoized over vertex masks."""
+    adj = g.adj
+    memo = {0: [1]}
+
+    def count(mask):
+        known = memo.get(mask)
+        if known is not None:
+            return known
+        u = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << u)
+        acc = list(count(rest))                 # u unmatched
+        for v in range(g.n):
+            if (adj[u] & rest) >> v & 1:        # u matched to v
+                acc = padd(acc, [0] + count(rest ^ (1 << v)))
+        memo[mask] = acc
+        return acc
+
+    out = count((1 << g.n) - 1)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------- cliques

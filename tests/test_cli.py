@@ -113,6 +113,15 @@ class TestFit:
         assert rep["found"] is True
         assert rep["coeffs"] == ["0 1", "0 1", "0 1"]
 
+    def test_matchings_of_cycles(self, capsys):
+        # mu(C_n) = X mu(C_(n-1)) - mu(C_(n-2)), the Chebyshev recurrence
+        code, rep = run_cli(capsys, "fit", "--poly", "mu",
+                            "--family", "cycle:3..60",
+                            "--max-order", "2", "--max-deg", "1")
+        assert code == 0
+        assert rep["found"] is True and rep["q"] == 2
+        assert rep["coeffs"] == ["-1", "0 1"]
+
     def test_two_index_family_runs_along_the_diagonal(self, capsys):
         code, rep = run_cli(capsys, "fit", "--poly", "mu",
                             "--family", "cbipartite:1..8",
@@ -293,19 +302,24 @@ class TestDeterminismAndErrors:
     def test_vertex_sweeps_ignore_the_vertex_cap(self, capsys):
         for kind, result in (("indep", "1 4 3"), ("dom", "0 0 4 4 1"),
                              ("ind:edgeless", "1 4 3"),
-                             ("ind:forest", "0 4 6 4 1")):
+                             ("ind:forest", "0 4 6 4 1"),
+                             ("mu", "1 0 -3 0 1"), ("mgen", "1 3 1")):
             code, rep = run_cli(capsys, "compute", "--poly", kind,
                                 "--graph", "family:path:4", "--cap-n", "3")
             assert code == 0, kind
             assert rep["result"] == result, kind
 
-    @pytest.mark.parametrize("kind", ["ind:connected", "mu"])
+    @pytest.mark.parametrize("kind", ["ind:connected", "maxcl"])
     def test_subset_loops_keep_the_vertex_cap(self, capsys, kind):
         # ladder:11 has 22 vertices, over the default cap of 20
         code = main(["compute", "--poly", kind,
                      "--graph", "family:ladder:11"])
         assert code == 3
-        assert "capped at n <= 20, got 22" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "capped at n <= 20, got 22" in err
+        loop = {"ind:connected": "vertex-subset sum",
+                "maxcl": "maximal-clique search"}[kind]
+        assert f"{loop} capped" in err
 
     def test_induced_forests_of_a_24_vertex_ladder(self, capsys):
         code, rep = run_cli(capsys, "compute", "--poly", "ind:forest",

@@ -202,6 +202,39 @@ class TestMatchings:
                 if forest.holds(g):
                     assert matching_defect(g) == char_poly(g)
 
+    def test_sweep_matches_memo_on_every_class_to_order_7(self):
+        for g in graphs_up_to(7):
+            assert matching_numbers(g) == oracles.matchings_by_memo(g), g
+
+    @pytest.mark.parametrize("spec", ["clique:20", "cbipartite:10x10",
+                                      "ladder:10", "grid:4x5", "wheel:19"])
+    def test_sweep_matches_memo_on_families(self, spec):
+        g = make_family(parse_family_spec(spec))
+        assert matching_numbers(g) == oracles.matchings_by_memo(g)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_sweep_matches_memo_on_random_20_vertex_graphs(self, density):
+        rng = random.Random(f"matching {density}")
+        pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        for _ in range(3):
+            g = make_graph(20, [e for e in pairs if rng.random() < density])
+            assert matching_numbers(g) == oracles.matchings_by_memo(g)
+
+    def test_chebyshev_identities_to_100_vertices(self):
+        # mu(P_n; 2X) = U_n(X) and mu(C_n; 2X) = 2 T_n(X)
+        double_x = UniPoly([0, 2])
+        for n in range(3, 101):
+            assert matching_defect(path_graph(n)).substitute(double_x) \
+                == chebyshev_u(n)
+            assert matching_defect(cycle_graph(n)).substitute(double_x) \
+                == 2 * chebyshev_t(n)
+
+    def test_forest_identity_on_random_60_vertex_trees(self):
+        rng = random.Random(16)
+        for _ in range(5):
+            g = make_graph(60, [(rng.randrange(v), v) for v in range(1, 60)])
+            assert matching_defect(g) == char_poly(g)
+
 
 class TestGenInd:
     def test_counts_all_vertex_subsets(self):
@@ -302,6 +335,7 @@ class TestGenInd:
         ("domination", lambda g: dominating(g)),
         ("chromatic", lambda g: chromatic(g)),
         ("rank-nullity", lambda g: tutte(g)),
+        ("matching", lambda g: matching_numbers(g)),
     ]
 
     @pytest.mark.parametrize("name,run", SWEEPS)
@@ -360,8 +394,19 @@ class TestGenSpan:
                     assert total == one_plus_x_power(edge_count(g))
 
     def test_edge_cap(self):
+        # K_7 has 21 edges; the classes no sweep counts run the 2^m loop
         with pytest.raises(CapError):
-            gen_span(complete_graph(7), builtin("match_like"), cap_m=20)
+            gen_span(complete_graph(7), builtin("cycle_plus_isolated:3"),
+                     cap_m=20)
+
+    def test_match_like_beyond_the_edge_cap(self):
+        # ladder:12 has 36 edges, far over the cap of the 2^m loop
+        g = ladder_graph(12)
+        p = compute_poly(parse_poly_kind("span:match"), g)
+        assert p == compute_poly(parse_poly_kind("mgen"), g)
+        # the prism C_n x K_2 with n even has L_n + 2 perfect matchings,
+        # L_n the Lucas numbers; L_12 = 322
+        assert p.coefficient(12) == 322 + 2
 
     def test_rank_nullity_classes_match_subset_loop(self):
         # a fresh predicate object is not recognised, so it takes the 2^m loop

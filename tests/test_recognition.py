@@ -169,6 +169,13 @@ class TestIdentitySuite:
                      "clique-hermite", "bipartite-laguerre"):
             assert rep.item(name).ok, name
 
+    def test_identities_hold_past_order_20(self):
+        # K_22 and K_{12,12} have more than the 20 vertices of --cap-n
+        rep = identity_suite(n_max=22, bipartite_max=12)
+        assert rep.identities_hold
+        assert rep.item("clique-hermite").checked[-1] == 22
+        assert rep.item("bipartite-laguerre").checked[-1] == 12
+
     def test_unscaled_laguerre_fails_beyond_one(self):
         rep = identity_suite(n_max=6, bipartite_max=4)
         record = rep.item("bipartite-laguerre-unscaled")
