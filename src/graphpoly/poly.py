@@ -1,16 +1,23 @@
-"""Exact polynomial arithmetic over arbitrary-precision rationals.
+"""Exact polynomial arithmetic over arbitrary-precision integers and rationals.
 
 This module is the arithmetic layer for the whole package: dense univariate
 polynomials over Q, bivariate coefficient grids over Z (evaluation and text
 only), the falling-factorial basis, and exact linear algebra (a
 fraction-free Bareiss solver, integer determinants, Newton interpolation,
 and integer characteristic polynomials by Hessenberg reduction modulo
-primes).  No floating point appears anywhere.
+primes).  No floating point appears anywhere: a float handed to a
+polynomial, to its arithmetic, to an evaluation or to the linear algebra
+raises TypeError.
 
 Conventions:
 
-* UniPoly stores coefficients in ascending degree order with no trailing
-  zero; the zero polynomial stores nothing and reports degree
+* Every exact value this module returns is in normal form: a plain int,
+  or a Fraction only when its denominator exceeds 1.  The graph
+  polynomials are integral, so their arithmetic runs on ints end to end.
+  Fraction(n) and n compare and hash equal, so the normal form changes
+  no comparison, key or printed text.
+* UniPoly stores normal-form coefficients in ascending degree order with
+  no trailing zero; the zero polynomial stores nothing and reports degree
   MINUS_INFINITY rather than -1.
 * BiPoly stores a rectangular integer grid indexed by (degree in X,
   degree in Y) with trailing all-zero rows and columns removed.
@@ -40,6 +47,25 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
+def _exact(c):
+    """c in normal form: an int, or a Fraction with denominator above 1.
+
+    Raises TypeError on a float, whose binary expansion is no exact value.
+    """
+    if isinstance(c, float):
+        raise TypeError(f"float {c!r} in exact arithmetic")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integer(c) -> int:
+    """c as an int; raises unless it is an integer in exact form."""
+    c = _exact(c)
+    if type(c) is not int:
+        raise ValueError(f"non-integer coefficient {c}")
+    return c
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a bare integer or num/den with positive denominator."""
     if not _RATIONAL_RE.match(text):
@@ -50,17 +76,19 @@ def parse_rational(text: str) -> Fraction:
 class UniPoly:
     """Dense univariate polynomial over Q, immutable.
 
-    Coefficients are ascending; construction normalizes by stripping
-    trailing zeros, so equal polynomials compare and hash equal.
+    Coefficients are ascending and in normal form: each is an int, or a
+    Fraction whose denominator exceeds 1.  Construction normalizes them and
+    strips trailing zeros, so equal polynomials compare and hash equal; a
+    float coefficient raises TypeError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     # -- constructors -------------------------------------------------
 
@@ -92,24 +120,24 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int | Fraction:
+        """The X^k coefficient in normal form; 0 beyond the degree."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
+        """The highest nonzero coefficient in normal form."""
         if not self.coeffs:
             raise InputError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any denominator exceeds 1."""
-        out = []
         for c in self.coeffs:
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     # -- ring operations -----------------------------------------------
 
@@ -117,6 +145,8 @@ class UniPoly:
     def _coerce(other):
         if isinstance(other, UniPoly):
             return other
+        if isinstance(other, float):
+            raise TypeError(f"float {other!r} in exact arithmetic")
         if isinstance(other, (int, Fraction)):
             return UniPoly((other,))
         return None
@@ -157,29 +187,32 @@ class UniPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
         return UniPoly(out)
 
     __rmul__ = __mul__
 
-    def evaluate(self, x) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        x = Fraction(x)
-        acc = Fraction(0)
+    def evaluate(self, x) -> int | Fraction:
+        """Exact value at x by Horner's rule, in normal form.
+
+        x is an int or a Fraction; a float raises TypeError.
+        """
+        if type(x) is not int:
+            x = _exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return acc if type(acc) is int else _exact(acc)
 
     def substitute(self, q: UniPoly) -> UniPoly:
         """Composition self(q), by Horner in the polynomial ring."""
         acc = UniPoly()
         for c in reversed(self.coeffs):
-            acc = acc * q + UniPoly((c,))
+            acc = acc * q + c
         return acc
 
     # -- text and display ------------------------------------------------
@@ -215,7 +248,8 @@ class BiPoly:
     __slots__ = ("grid",)
 
     def __init__(self, grid=()):
-        rows = [[int(c) for c in row] for row in grid]
+        rows = [[c if type(c) is int else _integer(c) for c in row]
+                for row in grid]
         width = max((len(r) for r in rows), default=0)
         for r in rows:
             r.extend([0] * (width - len(r)))
@@ -227,15 +261,16 @@ class BiPoly:
             rows.pop()
         self.grid: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
 
-    def evaluate(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        acc = Fraction(0)
+    def evaluate(self, x, y) -> int | Fraction:
+        """Exact value at (x, y), in normal form; a float raises TypeError."""
+        x, y = _exact(x), _exact(y)
+        acc = 0
         for row in reversed(self.grid):
-            racc = Fraction(0)
+            racc = 0
             for c in reversed(row):
                 racc = racc * y + c
             acc = acc * x + racc
-        return acc
+        return acc if type(acc) is int else _exact(acc)
 
     def text(self) -> str:
         if not self.grid:
@@ -270,29 +305,33 @@ class BiPoly:
 
 def falling_to_monomial(coeffs) -> UniPoly:
     """Expand sum_j c_j X_(j) into the monomial basis, exactly."""
-    result = UniPoly()
-    basis = UniPoly.one()          # X_(0) = 1
+    result = []
+    basis = [1]                    # X_(j), ascending; X_(0) = 1
     for j, c in enumerate(coeffs):
-        if j > 0:
-            basis = basis * UniPoly((-(j - 1), 1))
+        if j:
+            # X_(j) = X_(j-1) (X - (j - 1))
+            basis = [a - (j - 1) * b
+                     for a, b in zip([0] + basis, basis + [0])]
         if c:
-            result = result + basis * c
-    return result
+            result.extend([0] * (len(basis) - len(result)))
+            for k, b in enumerate(basis):
+                result[k] += c * b
+    return UniPoly(result)
 
 
 # ---------------------------------------------------------------- linear algebra
 
 
 def _scaled_integer_rows(rows, rhs):
-    """Augmented rows scaled to integers, one lcm per row."""
+    """Augmented rows scaled to integers, one lcm per row; a row of ints
+    passes through as it is."""
     aug = []
     for row, b in zip(rows, rhs):
-        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        fr.append(b if isinstance(b, Fraction) else Fraction(b))
-        scale = 1
-        for c in fr:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        aug.append([int(c * scale) for c in fr])
+        r = [c if type(c) is int else _exact(c) for c in (*row, b)]
+        scale = math.lcm(*(c.denominator for c in r))
+        if scale != 1:
+            r = [c.numerator * (scale // c.denominator) for c in r]
+        aug.append(r)
     return aug
 
 
@@ -302,7 +341,8 @@ def solve_linear_exact(rows, rhs):
     Fraction-free (Bareiss) forward elimination over integer-scaled rows,
     then rational back substitution.  Pivots are chosen left to right by
     first nonzero column; free variables are set to 0, so the result is
-    deterministic.  Returns a list of Fractions, or None when inconsistent.
+    deterministic.  Returns a list of normal-form values (ints, and
+    Fractions with denominator above 1), or None when inconsistent.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -341,13 +381,14 @@ def solve_linear_exact(rows, rhs):
         if aug[i][n] != 0:
             return None
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for ri, ci in reversed(pivots):
-        acc = Fraction(aug[ri][n])
+        row = aug[ri]
+        acc = row[n]
         for j in range(ci + 1, n):
-            if aug[ri][j]:
-                acc -= aug[ri][j] * x[j]
-        x[ci] = acc / aug[ri][ci]
+            if row[j]:
+                acc -= row[j] * x[j]
+        x[ci] = _exact(Fraction(acc, row[ci]))
     return x
 
 
@@ -356,7 +397,7 @@ def int_determinant(rows) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    a = [[int(c) for c in row] for row in rows]
+    a = [[c if type(c) is int else _integer(c) for c in row] for row in rows]
     for row in a:
         if len(row) != n:
             raise InputError("determinant needs a square matrix")
@@ -502,8 +543,8 @@ def interpolate(xs, ys) -> UniPoly:
     Newton's divided differences with exact rationals; the nodes must be
     pairwise distinct.
     """
-    pts = [Fraction(x) for x in xs]
-    vals = [Fraction(y) for y in ys]
+    pts = [Fraction(_exact(x)) for x in xs]
+    vals = [Fraction(_exact(y)) for y in ys]
     if len(pts) != len(vals):
         raise InputError("interpolation needs as many values as nodes")
     if len(set(pts)) != len(pts):

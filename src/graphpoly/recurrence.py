@@ -9,15 +9,15 @@ fit searches (q, d) cells in lexicographic order, assembling for each cell
 the exact linear system obtained by matching X-power coefficients of the
 relation over the leading windows of the sequence; the last few windows are
 held out and any candidate must reproduce them exactly, which kills
-solutions that merely interpolate the training rows.  Everything runs over
-rationals, so a returned spec is a proof that the relation holds on the
+solutions that merely interpolate the training rows.  Everything is exact:
+integral sequences give integer rows, and only the solved coefficients can
+be rational, so a returned spec is a proof that the relation holds on the
 given terms, never an approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
@@ -68,7 +68,7 @@ def _relation_rows(terms, start: int, q: int, d: int):
     rows, rhs = [], []
     width = q * (d + 1)
     for r in range(rmax + 1):
-        row = [Fraction(0)] * width
+        row = [0] * width
         for t in range(q):
             pt = terms[start + t]
             base = t * (d + 1)
@@ -107,8 +107,7 @@ def _solve_cell(terms, q: int, d: int, holdout: int):
     """
     train = len(terms) - q - holdout
     width = q * (d + 1)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows, rhs = [], []
     used = 0
     for s in range(train):
         wr, wb = _relation_rows(terms, s, q, d)

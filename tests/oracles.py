@@ -584,3 +584,12 @@ def laguerre_closed(n: int):
     """L_n by the explicit sum: sum_k C(n,k) (-1)^k / k! X^k."""
     return tuple(Fraction(binom(n, k) * (-1) ** k, factorial(k))
                  for k in range(n + 1))
+
+
+# ---------------------------------------------------------------- normal form
+
+
+def is_normal(c) -> bool:
+    """An int, or a Fraction whose denominator exceeds 1: never a bool, a
+    float or a whole-number Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,41 @@ class TestDeterminismAndErrors:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert a == b
+
+    # stdout recorded before the arithmetic layer moved from Fraction to int
+    # coefficients, elapsed_ms zeroed; rationals must still print as num/den
+    _CAPS = ('"caps": {"enum_n": 7, "partition_n": 10, "subset_m": 20, '
+             '"subset_n": 20}')
+    RECORDED = [
+        ("ortho --family L --n 6",
+         '{' + _CAPS + ', "command": "ortho", "elapsed_ms": 0, '
+         '"family": "L", "jobs": 1, "n": 6, '
+         '"result": "1 -6 15/2 -10/3 5/8 -1/20 1/720", "schema_version": 1}'),
+        ("compute --poly genchrom:connected --graph family:ladder:4",
+         '{' + _CAPS + ', "command": "compute", "elapsed_ms": 0, '
+         '"graph": "ladder:4", "jobs": 1, "poly": "genchrom:connected", '
+         '"result": "0 -1068 2938 -3226 1884 -648 136 -16 1", '
+         '"schema_version": 1}'),
+        ("fit --poly chrom --family ladder:3..16 --max-order 4 --max-deg 4",
+         '{' + _CAPS + ', "coeffs": ["-9 21 -18 7 -1", "24 -43 29 -9 1", '
+         '"-22 27 -12 2", "8 -5 1"], "command": "fit", "d": 4, '
+         '"elapsed_ms": 0, "family": "ladder:3..16", "found": true, '
+         '"holdout": 3, "jobs": 1, "max_deg": 4, "max_order": 4, '
+         '"poly": "chrom", "q": 4, "schema_version": 1, '
+         '"seeds": ["0 -26 67 -67 34 -9 1", '
+         '"0 -133 423 -572 441 -214 66 -12 1", '
+         '"0 -564 2146 -3670 3795 -2651 1303 -450 105 -15 1", '
+         '"0 -2183 9700 -20080 26020 -23640 15823 -7936 2970 -810 153 -18 '
+         '1"], "terms": 14, "verified_terms": 14}'),
+    ]
+
+    @pytest.mark.parametrize("command, recorded", RECORDED)
+    def test_output_matches_the_recorded_bytes(self, capsys, command,
+                                               recorded):
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) \
+            == recorded + "\n"
 
     def test_input_error_exit_2(self, capsys):
         code = main(["compute", "--poly", "char",

@@ -379,10 +379,11 @@ class TestGenInd:
 
 class TestGenSpan:
     def test_match_like_recovers_matching_polynomial(self):
+        # gen_span reads the matching sweep, so the check is the brute-force
+        # count over edge subsets, not matching_generating
         ml = builtin("match_like")
-        for n in (2, 3, 4, 5):
-            for g in enumerate_graphs(n):
-                assert gen_span(g, ml) == matching_generating(g)
+        for g in graphs_up_to(6):
+            assert gen_span(g, ml).coeffs == oracles.matchings_by_size(g)
 
     def test_complement_identity_over_edges(self):
         for name in ("match_like", "cycle_plus_isolated:3"):
@@ -692,3 +693,17 @@ class TestPolyKinds:
             == matching_generating(g)
         assert compute_poly(parse_poly_kind("charL"), g) \
             == char_poly(g, "laplacian")
+
+
+@pytest.mark.parametrize("kind", sorted(invariants._KINDS))
+def test_coefficients_in_normal_form_on_every_class_to_order_6(kind):
+    takes_property = invariants._KINDS[kind][0]
+    labels = [f"{kind}:{name}" for name in ("connected", "edgeless")] \
+        if takes_property else [kind]
+    for label in labels:
+        pk = parse_poly_kind(label)
+        for g in graphs_up_to(6):
+            p = compute_poly(pk, g)
+            coeffs = [c for row in p.grid for c in row] \
+                if isinstance(p, BiPoly) else p.coeffs
+            assert all(oracles.is_normal(c) for c in coeffs), (label, g)

@@ -87,6 +87,12 @@ class TestOrtho:
             ortho("T", -1)
 
 
+@pytest.mark.parametrize("tag", ["He", "T", "U", "L"])
+def test_coefficients_in_normal_form(tag):
+    for n in range(13):
+        assert all(oracles.is_normal(c) for c in ortho(tag, n).coeffs)
+
+
 def test_index_over_the_order_bound():
     for gen in (chebyshev_t, chebyshev_u):
         with pytest.raises(CapError, match=f"{MAX_ORDER + 1}.*{MAX_ORDER}"):

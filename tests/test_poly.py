@@ -59,6 +59,90 @@ class TestUniPolyBasics:
             UniPoly([Fraction(1, 2)]).integer_coefficients()
 
 
+class TestNormalForm:
+    def test_whole_fraction_is_an_int(self):
+        p = UniPoly((Fraction(4, 2),))
+        assert p == UniPoly((2,))
+        assert hash(p) == hash(UniPoly((2,)))
+        assert type(p.coeffs[0]) is int
+
+    def test_parse_keeps_only_real_denominators(self):
+        coeffs = UniPoly.parse("1/2 2/1").coeffs
+        assert coeffs == (Fraction(1, 2), 2)
+        assert [type(c) for c in coeffs] == [Fraction, int]
+
+    def test_bools_become_ints(self):
+        assert [type(c) for c in UniPoly((True, False, True)).coeffs] \
+            == [int, int, int]
+
+    def test_arithmetic_stays_normal(self):
+        rng = random.Random(5)
+        half = UniPoly([Fraction(1, 2), Fraction(-1, 2)])
+        for _ in range(40):
+            a, b = rand_poly(rng), rand_poly(rng)
+            for p in (a + b, a - b, a * b, a * 2, half * 2, a.substitute(b)):
+                assert all(oracles.is_normal(c) for c in p.coeffs)
+        assert (half * 2).coeffs == (1, -1)
+        assert type(half.evaluate(1)) is int
+        assert half.evaluate(2) == Fraction(-1, 2)
+        assert type(UniPoly().coefficient(3)) is int
+
+    def test_solution_is_normal(self):
+        sol = solve_linear_exact([[2, 0], [0, 3]], [4, 1])
+        assert sol == [2, Fraction(1, 3)]
+        assert all(oracles.is_normal(c) for c in sol)
+
+    def test_falling_expansion_against_falling_factorials(self):
+        rng = random.Random(6)
+        cases = [[rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+                 for _ in range(30)]
+        cases.append([Fraction(1, 2), 3, Fraction(-2, 3)])
+        for c in cases:
+            mono = falling_to_monomial(c)
+            assert all(oracles.is_normal(x) for x in mono.coeffs)
+            for k in range(11):
+                assert mono.evaluate(k) == sum(
+                    cj * oracles.falling_value(k, j) for j, cj in enumerate(c))
+
+
+class TestFloatRefusal:
+    def test_constructor(self):
+        with pytest.raises(TypeError):
+            UniPoly((0.5, 1))
+        with pytest.raises(TypeError):
+            UniPoly.monomial(2, 1.0)
+
+    def test_arithmetic(self):
+        p = UniPoly((1, 2))
+        for op in (lambda: p + 0.5, lambda: 0.5 + p, lambda: p - 0.5,
+                   lambda: 0.5 - p, lambda: p * 0.5, lambda: 0.5 * p):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_evaluate(self):
+        with pytest.raises(TypeError):
+            UniPoly((1, 2)).evaluate(0.1)
+        with pytest.raises(TypeError):
+            BiPoly([[0, 1], [1]]).evaluate(0.5, 1)
+        with pytest.raises(TypeError):
+            BiPoly([[0, 1], [1]]).evaluate(1, 0.5)
+
+    def test_linear_algebra(self):
+        with pytest.raises(TypeError):
+            solve_linear_exact([[0.5]], [1])
+        with pytest.raises(TypeError):
+            int_determinant([[0.5, 0], [0, 2]])
+        with pytest.raises(TypeError):
+            interpolate([0, 1], [0.1, 1])
+
+    def test_bivariate_grid(self):
+        with pytest.raises(TypeError):
+            BiPoly([[0.5]])
+        with pytest.raises(ValueError):
+            BiPoly([[Fraction(1, 2)]])
+        assert BiPoly([[Fraction(4, 2)]]).grid == ((2,),)
+
+
 class TestTextFormat:
     def test_parse_ascending(self):
         assert UniPoly.parse("2 0 -4 0 1") == UniPoly([2, 0, -4, 0, 1])

@@ -1,7 +1,10 @@
 """Fitting, verifying, and extending C-finite recurrences for polynomial sequences."""
 
+from fractions import Fraction
+
 import pytest
 
+import oracles
 from graphpoly.errors import InputError
 from graphpoly.graph import complete_bipartite, grid_graph
 from graphpoly.invariants import char_poly, parse_poly_kind
@@ -69,6 +72,17 @@ class TestFit:
             spec = fit(seq, max_order=3, max_deg=2)
             assert spec.order == 2
             assert spec.coefficients == (UniPoly([-1]), UniPoly([0, 2]))
+
+    def test_rational_coefficients_in_normal_form(self):
+        # p_n = 2^(10-n) (1 + X): integral terms, p_{n+1} = p_n / 2
+        seq = PolySequence(0, tuple(UniPoly([2 ** (10 - n)] * 2)
+                                    for n in range(10)), label="halving")
+        spec = fit(seq, max_order=2, max_deg=1)
+        assert spec.coefficients == (UniPoly([Fraction(1, 2)]),)
+        for f in spec.coefficients + spec.seeds:
+            assert all(oracles.is_normal(c) for c in f.coeffs)
+        assert all(oracles.is_normal(c)
+                   for t in extend(spec, 12).terms for c in t.coeffs)
 
     def test_clique_chromatic_not_c_finite_at_small_bounds(self):
         assert fit(chrom_seq("clique", 1, 14), max_order=4, max_deg=4) is None
