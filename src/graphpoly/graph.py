@@ -10,13 +10,14 @@ least index, order).  Parsing, make_family and family_member (the k-th
 member, along the diagonal for two indices) read it; make_family and
 parse_graph refuse orders above MAX_ORDER before allocating anything.
 
-Isomorphism testing is an exact backtracking search with degree-profile
-pruning.  canonical_form returns the lexicographically minimal adjacency
-bit string over all relabellings (upper triangle, read column by column),
-so equal strings characterize isomorphic graphs.  It searches level by
-level, keeping the partial vertex orders whose columns so far are least
-and trying one vertex per twin class (N(u) - v = N(v) - u).  It takes any
-order; its only guard is CANON_WIDTH, and a wider level raises CapError.
+canonical_form returns the lexicographically minimal adjacency bit string
+over all relabellings (upper triangle, read column by column), so equal
+strings characterize isomorphic graphs; is_isomorphic compares them, and
+it is the only isomorphism test in the package.  The canonical-form
+search goes level by level, keeping the partial vertex orders whose
+columns so far are least and trying one vertex per twin class
+(N(u) - v = N(v) - u).  It takes any order; its only guard is
+CANON_WIDTH, and a wider level raises CapError.
 Enumeration of isomorphism classes extends each (n-1)-vertex class by one
 vertex in all 2^(n-1) ways and keeps the first extension of each canonical
 form; it is capped by default at n = 7 (1044 classes).
@@ -95,10 +96,6 @@ def edge_count(g: Graph) -> int:
     return sum(a.bit_count() for a in g.adj) // 2
 
 
-def degrees(g: Graph) -> list[int]:
-    return [a.bit_count() for a in g.adj]
-
-
 def components(adj, mask: int) -> list[int]:
     """Vertex bitmasks of the components that mask induces, by least vertex."""
     out = []
@@ -136,20 +133,6 @@ def similar(g: Graph, h: Graph) -> bool:
 # -------------------------------------------------------------- surgery
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Image of g under the permutation perm (perm[v] is the new name)."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise InputError("relabelling must be a permutation of the vertices")
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << perm[u]
-        adj[perm[v]] = row
-    return Graph(g.n, tuple(adj))
-
-
 def disjoint_union(parts) -> Graph:
     parts = list(parts)
     if not parts:
@@ -180,23 +163,6 @@ def complement_graph(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
     return Graph(g.n, adj)
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    verts = sorted(set(vertices))
-    if not verts:
-        raise InputError("induced subgraph needs a nonempty vertex set")
-    if verts[0] < 0 or verts[-1] >= g.n:
-        raise InputError("induced subgraph vertex out of range")
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        row = 0
-        for u in bits(g.adj[v]):
-            if u in index:
-                row |= 1 << index[u]
-        adj[index[v]] = row
-    return Graph(len(verts), tuple(adj))
 
 
 def induced_from_mask(g: Graph, mask: int) -> Graph:
@@ -482,63 +448,6 @@ def parse_graph(text: str) -> Graph:
 # -------------------------------------------------------------- isomorphism
 
 
-def _vertex_profiles(g: Graph) -> list[tuple]:
-    degs = degrees(g)
-    tri = [0] * g.n
-    for u, v in edge_list(g):
-        common = g.adj[u] & g.adj[v]
-        c = common.bit_count()
-        tri[u] += c
-        tri[v] += c
-    return [
-        (degs[v], tri[v], tuple(sorted(degs[u] for u in bits(g.adj[v]))))
-        for v in range(g.n)
-    ]
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact test by backtracking over profile-compatible assignments."""
-    if g.n != h.n:
-        return False
-    if edge_count(g) != edge_count(h):
-        return False
-    pg = _vertex_profiles(g)
-    ph = _vertex_profiles(h)
-    if sorted(pg) != sorted(ph):
-        return False
-    freq: dict[tuple, int] = {}
-    for p in pg:
-        freq[p] = freq.get(p, 0) + 1
-    order = sorted(range(g.n), key=lambda v: (freq[pg[v]], -pg[v][0], v))
-    candidates = [[w for w in range(h.n) if ph[w] == pg[v]] for v in order]
-
-    image = [-1] * g.n       # image[position in order] = h-vertex
-    used = [False] * h.n
-
-    def assign(k: int) -> bool:
-        if k == g.n:
-            return True
-        v = order[k]
-        for w in candidates[k]:
-            if used[w]:
-                continue
-            ok = True
-            for i in range(k):
-                u = order[i]
-                if (g.adj[v] >> u & 1) != (h.adj[w] >> image[i] & 1):
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                image[k] = w
-                if assign(k + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return assign(0)
-
-
 def _lower_twins(adj) -> list[int]:
     """Per vertex v, the mask of the u < v with N(u) - v = N(v) - u."""
     return [sum(1 << u for u in range(v)
@@ -580,6 +489,15 @@ def canonical_form(g: Graph) -> str:
         code.append(format(best, f"0{k}b"))
         level = nxt
     return "".join(code)
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact test: equal order, size and canonical form.
+
+    Raises CapError when either canonical-form search passes CANON_WIDTH.
+    """
+    return (g.n == h.n and edge_count(g) == edge_count(h)
+            and canonical_form(g) == canonical_form(h))
 
 
 # -------------------------------------------------------------- enumeration

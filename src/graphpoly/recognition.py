@@ -30,12 +30,12 @@ from .errors import CapError, InputError
 from .graph import (
     MAX_ORDER,
     Graph,
+    canonical_form,
     complete_graph,
     disjoint_union,
     enumerate_graphs,
     family_member,
     get_family,
-    is_isomorphic,
 )
 from .invariants import (
     compute_poly,
@@ -83,6 +83,32 @@ def _query_order(p: UniPoly) -> int | None:
     return int(p.degree)
 
 
+def _scan_orders(pk, forced: int | None, n_bound: int | None) -> range:
+    """Orders a class scan for pk visits.
+
+    A degree-forced kind scans its forced order alone, and nothing when
+    there is none or it lies past n_bound; any other kind scans every
+    order up to the n_bound it requires.
+    """
+    if pk.kind in DEGREE_FORCED_KINDS:
+        if forced is None or (n_bound is not None and forced > n_bound):
+            return range(0)
+        return range(forced, forced + 1)
+    if n_bound is None:
+        raise InputError(
+            f"kind {pk.label()!r} has no degree-forced order; "
+            "an explicit bound is required")
+    return range(1, n_bound + 1)
+
+
+def _scan(pk, value, orders: range, caps: Caps):
+    """Lazily yield the classes of the given orders whose pk equals value."""
+    for n in orders:
+        for g in enumerate_graphs(n, cap=caps.enum_n):
+            if compute_poly(pk, g, caps) == value:
+                yield g
+
+
 def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
                     caps: Caps = DEFAULT_CAPS) -> RecognitionResult:
     """Exhaustive scan for graphs whose polynomial equals p.
@@ -95,27 +121,11 @@ def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
     if n_bound is not None and n_bound < 1:
         raise InputError(f"recognition needs a bound >= 1, got {n_bound}")
     pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
-    matches: list[Graph] = []
-    if pk.kind in DEGREE_FORCED_KINDS:
-        order = _query_order(p)
-        bound = order if n_bound is None else n_bound
-        orders = []
-        if order is not None and (n_bound is None or order <= n_bound):
-            orders = [order]
-        bound = bound if bound is not None else 0
-    else:
-        if n_bound is None:
-            raise InputError(
-                f"kind {pk.label()!r} has no degree-forced order; "
-                "an explicit bound is required")
-        orders = list(range(1, n_bound + 1))
-        bound = n_bound
-    for n in orders:
-        for g in enumerate_graphs(n, cap=caps.enum_n):
-            if compute_poly(pk, g, caps) == p:
-                matches.append(g)
-    return RecognitionResult(matches=tuple(matches), method="brute",
-                             bound=bound)
+    # only degree-forced kinds read the query's degree; a tutte query has none
+    forced = _query_order(p) if pk.kind in DEGREE_FORCED_KINDS else None
+    matches = tuple(_scan(pk, p, _scan_orders(pk, forced, n_bound), caps))
+    bound = n_bound if n_bound is not None else forced or 0
+    return RecognitionResult(matches=matches, method="brute", bound=bound)
 
 
 def family_recognize(p: UniPoly, poly_kind, family: str,
@@ -141,24 +151,18 @@ def check_p_unique(g: Graph, poly_kind, n_bound: int,
     """Search the universe for a non-isomorphic graph with the same value.
 
     Degree-forced kinds only ever collide within one order, so the scan
-    stays there; the rest scan every order up to the bound.  The verdict
-    is relative to the bound by construction.
+    stays there; the rest scan every order up to the bound.  The first
+    match whose canonical form differs from g's ends the scan.  The
+    verdict is relative to the bound by construction.
     """
     pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     if g.n > n_bound:
         raise InputError(
             f"graph order {g.n} exceeds the requested bound {n_bound}")
     value = compute_poly(pk, g, caps)
-    if pk.kind in DEGREE_FORCED_KINDS:
-        orders = [g.n]
-    else:
-        orders = list(range(1, n_bound + 1))
-    for n in orders:
-        for h in enumerate_graphs(n, cap=caps.enum_n):
-            if compute_poly(pk, h, caps) != value:
-                continue
-            if h.n == g.n and is_isomorphic(h, g):
-                continue
+    key = canonical_form(g)
+    for h in _scan(pk, value, _scan_orders(pk, g.n, n_bound), caps):
+        if canonical_form(h) != key:
             return UniquenessVerdict(unique=False, counterexample=h,
                                      bound=n_bound)
     return UniquenessVerdict(unique=True, counterexample=None, bound=n_bound)

@@ -108,33 +108,22 @@ def _solve_cell(terms, q: int, d: int, holdout: int):
     train = len(terms) - q - holdout
     width = q * (d + 1)
     rows, rhs = [], []
-    used = 0
-    for s in range(train):
-        wr, wb = _relation_rows(terms, s, q, d)
-        rows.extend(wr)
-        rhs.extend(wb)
-        used += 1
-        if len(rows) > width:
-            break
-    solution = solve_linear_exact(rows, rhs)
-    if solution is None:
-        return None
-    fs = _coefficients_from(solution, q, d)
-    if _holds_everywhere(fs, terms, q):
-        return fs
-    if used == train:
-        return None
-    for s in range(used, train):
-        wr, wb = _relation_rows(terms, s, q, d)
-        rows.extend(wr)
-        rhs.extend(wb)
-    solution = solve_linear_exact(rows, rhs)
-    if solution is None:
-        return None
-    fs = _coefficients_from(solution, q, d)
-    if _holds_everywhere(fs, terms, q):
-        return fs
-    return None
+    s = 0
+    # the least prefix of windows with more rows than unknowns, then all
+    for whole in (False, True):
+        while s < train and (whole or len(rows) <= width):
+            wr, wb = _relation_rows(terms, s, q, d)
+            rows.extend(wr)
+            rhs.extend(wb)
+            s += 1
+        solution = solve_linear_exact(rows, rhs)
+        if solution is None:
+            return None
+        fs = _coefficients_from(solution, q, d)
+        if _holds_everywhere(fs, terms, q):
+            return fs
+        if s == train:
+            return None
 
 
 def fit(seq: PolySequence, max_order: int, max_deg: int,

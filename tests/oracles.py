@@ -4,35 +4,66 @@ Everything here is deliberately naive: permutation expansion for
 determinants, explicit assignment scans for colorings, exhaustive
 vertex-subset, set-partition and edge-subset enumeration,
 deletion-contraction for the Tutte polynomial, a depth-first canonical
-form and a bucket-and-dedupe class enumeration.  Nothing shares
-algorithmic code with the package beyond the Graph accessors and, for the
-class enumeration, the backtracking is_isomorphic and its vertex profiles,
-which the package's canonical form does not use; polynomial arithmetic is
-done on plain coefficient lists.  The one exception is
-char_poly_by_interpolation, the package's former characteristic
-polynomial: n + 1 Bareiss determinants and Newton interpolation from
-graphpoly.poly, which its modular Hessenberg path does not use.
-matchings_by_memo is the package's former matching count, a memo over
-vertex masks that shares nothing with the frontier sweep replacing it.
+form, a backtracking isomorphism test (isomorphic_by_search, the
+package's former is_isomorphic) and a class enumeration that dedupes by
+it.  Nothing shares algorithmic code with the package beyond the Graph
+accessors; the package decides isomorphism only by canonical forms, and
+polynomial arithmetic here is done on plain coefficient lists.  The one
+exception is char_poly_by_interpolation, the package's former
+characteristic polynomial: n + 1 Bareiss determinants and Newton
+interpolation from graphpoly.poly, which its modular Hessenberg path does
+not use.  matchings_by_memo is the package's former matching count, a
+memo over vertex masks that shares nothing with the frontier sweep
+replacing it.  relabel, induced_subgraph and degrees are graph helpers
+that only the tests use.
 """
 
 import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from graphpoly.graph import (
-    Graph,
-    _vertex_profiles,
-    edge_count,
-    edge_list,
-    induced_subgraph,
-    is_isomorphic,
-)
+from graphpoly.errors import InputError
+from graphpoly.graph import Graph, bits, edge_count, edge_list
 from graphpoly.poly import int_determinant, interpolate
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u] >> v & 1)
+
+
+def degrees(g: Graph) -> list[int]:
+    return [a.bit_count() for a in g.adj]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the permutation perm (perm[v] is the new name)."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise InputError("relabelling must be a permutation of the vertices")
+    adj = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in bits(g.adj[v]):
+            row |= 1 << perm[u]
+        adj[perm[v]] = row
+    return Graph(g.n, tuple(adj))
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    verts = sorted(set(vertices))
+    if not verts:
+        raise InputError("induced subgraph needs a nonempty vertex set")
+    if verts[0] < 0 or verts[-1] >= g.n:
+        raise InputError("induced subgraph vertex out of range")
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for v in verts:
+        row = 0
+        for u in bits(g.adj[v]):
+            if u in index:
+                row |= 1 << index[u]
+        adj[index[v]] = row
+    return Graph(len(verts), tuple(adj))
 
 
 # ---------------------------------------------------------------- poly lists
@@ -247,19 +278,14 @@ def _component_sizes(g: Graph):
     return list(sizes.values())
 
 
-def _degrees(g: Graph):
-    return [sum(1 for u in range(g.n) if has_edge(g, v, u))
-            for v in range(g.n)]
-
-
 def _cycle_exactly(i: int, g: Graph) -> bool:
     return (g.n == i and len(edge_list(g)) == i
-            and all(d == 2 for d in _degrees(g))
+            and all(d == 2 for d in degrees(g))
             and len(_component_sizes(g)) == 1)
 
 
 def _cycle_plus_isolated(i: int, g: Graph) -> bool:
-    degs = _degrees(g)
+    degs = degrees(g)
     if len(edge_list(g)) != i or any(d not in (0, 2) for d in degs):
         return False
     if degs.count(2) != i:
@@ -292,6 +318,63 @@ def property_oracle(name: str):
 
 
 # ---------------------------------------------------------------- isomorphism classes
+
+
+def _vertex_profiles(g: Graph) -> list[tuple]:
+    degs = degrees(g)
+    tri = [0] * g.n
+    for u, v in edge_list(g):
+        common = g.adj[u] & g.adj[v]
+        c = common.bit_count()
+        tri[u] += c
+        tri[v] += c
+    return [
+        (degs[v], tri[v], tuple(sorted(degs[u] for u in bits(g.adj[v]))))
+        for v in range(g.n)
+    ]
+
+
+def isomorphic_by_search(g: Graph, h: Graph) -> bool:
+    """Exact test by backtracking over profile-compatible assignments."""
+    if g.n != h.n:
+        return False
+    if edge_count(g) != edge_count(h):
+        return False
+    pg = _vertex_profiles(g)
+    ph = _vertex_profiles(h)
+    if sorted(pg) != sorted(ph):
+        return False
+    freq: dict[tuple, int] = {}
+    for p in pg:
+        freq[p] = freq.get(p, 0) + 1
+    order = sorted(range(g.n), key=lambda v: (freq[pg[v]], -pg[v][0], v))
+    candidates = [[w for w in range(h.n) if ph[w] == pg[v]] for v in order]
+
+    image = [-1] * g.n       # image[position in order] = h-vertex
+    used = [False] * h.n
+
+    def assign(k: int) -> bool:
+        if k == g.n:
+            return True
+        v = order[k]
+        for w in candidates[k]:
+            if used[w]:
+                continue
+            ok = True
+            for i in range(k):
+                u = order[i]
+                if (g.adj[v] >> u & 1) != (h.adj[w] >> image[i] & 1):
+                    ok = False
+                    break
+            if ok:
+                used[w] = True
+                image[k] = w
+                if assign(k + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return assign(0)
 
 
 def canonical_form_dfs(g: Graph) -> str:
@@ -347,7 +430,7 @@ def enumerate_classes(n: int) -> tuple:
             g = _extend_by_vertex(base, mask)
             fp = (g.n, edge_count(g), tuple(sorted(_vertex_profiles(g))))
             bucket = buckets.setdefault(fp, [])
-            if not any(is_isomorphic(g, rep) for rep in bucket):
+            if not any(isomorphic_by_search(g, rep) for rep in bucket):
                 bucket.append(g)
     reps = [g for bucket in buckets.values() for g in bucket]
     reps.sort(key=canonical_form_dfs)

@@ -142,6 +142,16 @@ class TestRecognize:
         assert rep["count"] == 1
         assert rep["matches"] == ["3 3\n0 1\n0 2\n1 2\n"]
 
+    def test_brute_bivariate(self, capsys, tmp_path):
+        path = tmp_path / "tutte.txt"
+        path.write_text("0 1;1 0;1 0\n")   # tutte(K_3)
+        code, rep = run_cli(capsys, "recognize", "--poly", "tutte",
+                            "--input", str(path), "--bound", "4")
+        assert code == 0
+        assert (rep["bound"], rep["count"]) == (4, 2)
+        assert rep["matches"] == ["3 3\n0 1\n0 2\n1 2\n",
+                                  "4 3\n0 2\n0 3\n2 3\n"]
+
     def test_family_route(self, capsys, tmp_path):
         path = tmp_path / "he5.txt"
         path.write_text("0 15 0 -10 0 1\n")

@@ -17,7 +17,6 @@ from graphpoly.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    degrees,
     disjoint_union,
     edge_count,
     edge_list,
@@ -29,14 +28,12 @@ from graphpoly.graph import (
     format_graph,
     graphs_up_to,
     grid_graph,
-    induced_subgraph,
     is_isomorphic,
     make_family,
     make_graph,
     parse_family_spec,
     parse_graph,
     path_graph,
-    relabel,
     signature,
     similar,
     tailed_cycle,
@@ -153,7 +150,7 @@ class TestFamilies:
     def test_tailed_cycle_shape(self):
         g = tailed_cycle(5)
         assert g.n == 5 and edge_count(g) == 5
-        assert sorted(degrees(g)) == [1, 2, 2, 2, 3]
+        assert sorted(oracles.degrees(g)) == [1, 2, 2, 2, 3]
 
     def test_tailed_cycle_needs_room_for_the_cycle(self):
         with pytest.raises(InputError):
@@ -205,7 +202,7 @@ class TestSurgery:
 
     def test_induced_subgraph(self):
         g = cycle_graph(5)
-        h = induced_subgraph(g, [0, 1, 2])
+        h = oracles.induced_subgraph(g, [0, 1, 2])
         assert edge_list(h) == [(0, 1), (1, 2)]
 
 
@@ -216,7 +213,7 @@ class TestIsomorphism:
             for g in enumerate_graphs(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert is_isomorphic(g, relabel(g, perm))
+                assert is_isomorphic(g, oracles.relabel(g, perm))
 
     def test_canonical_iff_isomorphic(self):
         rng = random.Random(7)
@@ -227,7 +224,7 @@ class TestIsomorphism:
             for g, c in zip(classes, canons):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_form(relabel(g, perm)) == c
+                assert canonical_form(oracles.relabel(g, perm)) == c
 
     def test_canonical_form_matches_depth_first_oracle(self):
         for n in range(1, 8):
@@ -245,9 +242,26 @@ class TestIsomorphism:
         for g in graphs_up_to(6) + extremes:
             perm = list(range(g.n))
             rng.shuffle(perm)
-            h = relabel(g, perm)
+            h = oracles.relabel(g, perm)
             assert canonical_form(h) == oracles.canonical_form_dfs(h) \
                 == canonical_form(g)
+
+    def test_is_isomorphic_agrees_with_search_oracle(self):
+        classes = graphs_up_to(6)
+        for i, g in enumerate(classes):
+            for h in classes[i:]:
+                assert is_isomorphic(g, h) == (g is h) \
+                    == oracles.isomorphic_by_search(g, h)
+        rng = random.Random(10)
+        for n in range(1, 6):
+            same_order = enumerate_graphs(n)
+            for g in same_order:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = oracles.relabel(g, perm)
+                for c in same_order:
+                    assert is_isomorphic(h, c) == (c is g) \
+                        == oracles.isomorphic_by_search(h, c)
 
     def test_canonical_search_width_bound(self):
         with pytest.raises(CapError) as exc:
@@ -258,13 +272,16 @@ class TestIsomorphism:
         assert found, str(exc.value)
         assert int(found[1]) > CANON_WIDTH == int(found[3])
         assert 1 <= int(found[2]) <= 19
+        # is_isomorphic compares canonical forms, so it shares the bound
+        with pytest.raises(CapError, match="canonical form search"):
+            is_isomorphic(cycle_graph(20), cycle_graph(20))
 
     def test_signature_isomorphism_invariant(self):
         rng = random.Random(8)
         for g in enumerate_graphs(5):
             perm = list(range(5))
             rng.shuffle(perm)
-            assert signature(g) == signature(relabel(g, perm))
+            assert signature(g) == signature(oracles.relabel(g, perm))
 
     def test_similar_uses_vertex_edge_component_counts(self):
         star = complete_bipartite(1, 3)
@@ -295,7 +312,7 @@ class TestEnumeration:
         classes = enumerate_graphs(4)
         for i, g in enumerate(classes):
             for h in classes[i + 1:]:
-                assert not is_isomorphic(g, h)
+                assert not oracles.isomorphic_by_search(g, h)
 
     def test_cap(self):
         with pytest.raises(CapError):

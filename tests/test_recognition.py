@@ -99,7 +99,7 @@ class TestFamilyRecognize:
         rec = family_recognize(UniPoly([0, 1]), parse_poly_kind("mu"), "cycle")
         assert not rec.found
 
-    def test_no_degree_map_for_tutte(self):
+    def test_no_degree_map_for_indep(self):
         with pytest.raises(InputError):
             family_recognize(UniPoly([0, 1]), parse_poly_kind("indep"),
                              "cycle")
