@@ -12,12 +12,13 @@ parse_graph refuse orders above MAX_ORDER before allocating anything.
 
 canonical_form returns the lexicographically minimal adjacency bit string
 over all relabellings (upper triangle, read column by column), so equal
-strings characterize isomorphic graphs; is_isomorphic compares them, and
-it is the only isomorphism test in the package.  The canonical-form
-search goes level by level, keeping the partial vertex orders whose
-columns so far are least and trying one vertex per twin class
-(N(u) - v = N(v) - u).  It takes any order; its only guard is
-CANON_WIDTH, and a wider level raises CapError.
+strings characterize isomorphic graphs; is_isomorphic, the only
+isomorphism test in the package, compares them.  The search goes level by
+level, keeping the partial vertex orders whose columns so far are least,
+one vertex per twin class (N(u) - v = N(v) - u); an order finds its least
+column by narrowing a bitmask of its unplaced vertices, which gives the
+strings and level widths of a full column comparison.  It takes any
+order; its only guard is CANON_WIDTH, and a wider level raises CapError.
 Enumeration of isomorphism classes extends each (n-1)-vertex class by one
 vertex in all 2^(n-1) ways and keeps the first extension of each canonical
 form; it is capped by default at n = 7 (1044 classes).
@@ -464,24 +465,33 @@ def canonical_form(g: Graph) -> str:
     a stable order on isomorphism classes.  As each column placed at step k
     has k bits, the search keeps, level by level, the partial orders whose
     columns so far are least, trying one vertex per twin class; a step that
-    collects more than CANON_WIDTH of them raises CapError.
+    collects more than CANON_WIDTH of them raises CapError.  Narrowing the
+    unplaced vertices to the non-neighbours of each placed w (a 0 bit) when
+    any remain (else a 1 bit) leaves those whose column is least.
     """
     n, adj = g.n, g.adj
     lower = _lower_twins(adj)
-    # (unplaced vertices, every vertex's column so far, next vertex to place)
-    level = [((1 << n) - 1, (0,) * n, v) for v in range(n) if not lower[v]]
+    # (unplaced vertices, placed vertices in placement order)
+    level = [((1 << n) - 1 ^ 1 << v, (v,)) for v in range(n) if not lower[v]]
     code = []
     for k in range(1, n):
         best, nxt = 1 << k, []
-        for free, cols, w in level:
-            free &= ~(1 << w)
-            cols = [c << 1 | adj[w] >> v & 1 for v, c in enumerate(cols)]
-            for v, c in enumerate(cols):
-                if c > best or not free >> v & 1 or lower[v] & free:
+        for free, order in level:
+            least, c = free, 0
+            for w in order:
+                rest = least & ~adj[w]
+                if rest:
+                    least, c = rest, c << 1
+                else:
+                    c = c << 1 | 1
+            if c > best:
+                continue
+            if c < best:
+                best, nxt = c, []
+            for v in bits(least):
+                if lower[v] & free:
                     continue
-                if c < best:
-                    best, nxt = c, []
-                nxt.append((free, cols, v))
+                nxt.append((free & ~(1 << v), order + (v,)))
                 if len(nxt) > CANON_WIDTH:
                     raise CapError(f"canonical form search reached "
                                    f"{len(nxt)} partial orders at step {k} of "

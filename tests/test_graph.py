@@ -246,6 +246,27 @@ class TestIsomorphism:
             assert canonical_form(h) == oracles.canonical_form_dfs(h) \
                 == canonical_form(g)
 
+    def test_canonical_form_of_every_extension_matches_oracle(self):
+        # every one-vertex extension of every class to order 6: a superset
+        # of the graphs enumeration keys, twin-skipped masks included
+        for n in range(1, 6):
+            for base in enumerate_graphs(n):
+                for mask in range(1 << n):
+                    g = oracles._extend_by_vertex(base, mask)
+                    assert canonical_form(g) == oracles.canonical_form_dfs(g)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_canonical_form_of_random_graphs_matches_oracle(self, density):
+        rng = random.Random(f"canonical {density}")
+        for n in range(8, 12):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = make_graph(n, [e for e in pairs if rng.random() < density])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = oracles.relabel(g, perm)
+            assert canonical_form(g) == oracles.canonical_form_dfs(g) \
+                == canonical_form(h) == oracles.canonical_form_dfs(h)
+
     def test_is_isomorphic_agrees_with_search_oracle(self):
         classes = graphs_up_to(6)
         for i, g in enumerate(classes):
@@ -275,6 +296,18 @@ class TestIsomorphism:
         # is_isomorphic compares canonical forms, so it shares the bound
         with pytest.raises(CapError, match="canonical form search"):
             is_isomorphic(cycle_graph(20), cycle_graph(20))
+
+    @pytest.mark.parametrize("spec, step, of", [("cycle:20", 4, 19),
+                                                ("ladder:10", 4, 19),
+                                                ("path:30", 3, 29)])
+    def test_canonical_search_width_message(self, spec, step, of):
+        # the bound is checked after every partial order a level keeps, so
+        # the count that trips it is exactly one past CANON_WIDTH
+        with pytest.raises(CapError) as exc:
+            canonical_form(fam(spec))
+        assert str(exc.value) == (
+            f"canonical form search reached 100001 partial orders at step "
+            f"{step} of {of}, over the bound of 100000")
 
     def test_signature_isomorphism_invariant(self):
         rng = random.Random(8)
