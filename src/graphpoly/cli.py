@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .caps import Caps, DEFAULT_CAPS
 from .dpower import (
-    ComparisonReport,
     compare,
+    comparison_json,
     dom_inexpressibility_suite,
     incomparability_suite,
     parse_handle,
@@ -81,25 +81,6 @@ def _load_poly(path_text: str, bivariate: bool):
     if bivariate:
         return BiPoly.parse(content)
     return UniPoly.parse(content)
-
-
-def _verdict_json(v) -> dict:
-    out = {"refuted": v.refuted}
-    if v.witness is not None:
-        out["witness"] = [format_graph(v.witness[0]),
-                          format_graph(v.witness[1])]
-    return out
-
-
-def _comparison_json(rep: ComparisonReport) -> dict:
-    return {
-        "p": rep.p_label,
-        "q": rep.q_label,
-        "mode": rep.mode,
-        "bound": rep.bound,
-        "p_le_q": _verdict_json(rep.p_le_q),
-        "q_le_p": _verdict_json(rep.q_le_p),
-    }
 
 
 # ------------------------------------------------------------ verb handlers
@@ -171,13 +152,7 @@ def _cmd_recognize(args, caps: Caps) -> dict:
 
 
 def _cmd_screen(args, caps: Caps) -> dict:
-    p = _load_poly(args.input, False)
-    report = chromatic_screen(p)
-    return {
-        "input": p.text(),
-        "checks": [{"name": name, "ok": ok} for name, ok in report.checks],
-        "all_pass": report.all_pass,
-    }
+    return chromatic_screen(_load_poly(args.input, False))
 
 
 def _cmd_maxcl_build(args, caps: Caps) -> dict:
@@ -190,8 +165,7 @@ def _cmd_maxcl_build(args, caps: Caps) -> dict:
 def _cmd_compare(args, caps: Caps) -> dict:
     p = parse_handle(args.p)
     q = parse_handle(args.q)
-    report = compare(p, q, args.mode, args.bound, caps)
-    return _comparison_json(report)
+    return comparison_json(compare(p, q, args.mode, args.bound, caps))
 
 
 def _require(args, names: list[str], suite: str) -> None:
@@ -205,60 +179,20 @@ def _cmd_suite(args, caps: Caps) -> dict:
     name = args.name
     if name == "incomparability":
         _require(args, ["variant", "i", "j"], name)
-        rep = incomparability_suite(args.variant, args.i, args.j,
-                                    k=args.k, caps=caps)
-        return {
-            "suite": name,
-            "variant": rep.variant,
-            "i": rep.i,
-            "j": rep.j,
-            "k": rep.k,
-            "pair_shape_i": rep.pair_shape_i,
-            "pair_shape_j": rep.pair_shape_j,
-            "checks": [{"name": c.name, "expected": c.expected.text(),
-                        "actual": c.actual.text(), "ok": c.ok}
-                       for c in rep.checks],
-            "all_ok": rep.all_ok,
-            "mutual_refutation": rep.mutual_refutation,
-        }
-    if name == "dom":
-        rep = dom_inexpressibility_suite()
-        return {
-            "suite": name,
-            "branches": [{
-                "name": b.name,
-                "argument": b.argument,
-                "cases": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                           "clash": c.clash} for c in b.cases],
-                "ok": b.ok,
-            } for b in rep.branches],
-            "all_contradict": rep.all_contradict,
-        }
-    if name == "sdp-complement":
+        report = incomparability_suite(args.variant, args.i, args.j,
+                                       k=args.k, caps=caps)
+    elif name == "dom":
+        report = dom_inexpressibility_suite()
+    elif name == "sdp-complement":
         _require(args, ["prop", "kind", "bound"], name)
-        c = parse_property(args.prop)
-        rep = sdp_equiv_complement_check(c, args.kind, args.bound, caps)
-        out = {
-            "suite": name,
-            "prop": rep.prop_name,
-            "kind": rep.kind,
-            "mode": rep.mode,
-            "equivalent_up_to_bound": rep.equivalent_up_to_bound,
-            "report": _comparison_json(rep.report),
-        }
-        if rep.closure_note:
-            out["closure_note"] = rep.closure_note
-        return out
-    if name == "identities":
-        rep = identity_suite(n_max=args.n_max, bipartite_max=args.bipartite_max)
-        return {
-            "suite": name,
-            "items": [{"name": it.name, "checked": list(it.checked),
-                       "failures": list(it.failures), "ok": it.ok}
-                      for it in rep.items],
-            "identities_hold": rep.identities_hold,
-        }
-    raise InputError(f"unknown suite {name!r}")
+        report = sdp_equiv_complement_check(parse_property(args.prop),
+                                            args.kind, args.bound, caps)
+    elif name == "identities":
+        report = identity_suite(n_max=args.n_max,
+                                bipartite_max=args.bipartite_max)
+    else:
+        raise InputError(f"unknown suite {name!r}")
+    return {"suite": name, **report}
 
 
 def _cmd_enumerate(args, caps: Caps) -> dict:
@@ -282,8 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "over all edge subsets")
     common.add_argument("--cap-partition", type=int, default=None,
                         help="vertex-count cap for partition polynomials")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker budget (current build runs one)")
 
     parser = argparse.ArgumentParser(
         prog="graphpoly",
@@ -405,7 +337,8 @@ def main(argv=None) -> int:
             "subset_m": caps.subset_m,
             "partition_n": caps.partition_n,
         },
-        "jobs": args.jobs,
+        # perfbench/expected.json and recorded tests store it; goes at schema 2
+        "jobs": 1,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
     try:

@@ -23,7 +23,11 @@ builds the cycle/tailed-cycle gadgets whose polynomial values refute both
 directions between cycle-indexed invariants of different index, and
 dom_inexpressibility_suite runs the two-vertex case analyses showing the
 dominating-set polynomial is no instance of the subset, spanning or
-partition generating polynomials.
+partition generating polynomials.  The suites and
+sdp_equiv_complement_check return their reports as the JSON dicts the CLI
+prints, polynomials and witnesses as text; compare returns a typed
+ComparisonReport, whose witness graphs callers keep using, and
+comparison_json renders it.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .graph import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    format_graph,
     graphs_up_to,
     signature,
     similar,
@@ -95,6 +100,26 @@ class ComparisonReport:
     bound: int
     p_le_q: DirectionVerdict
     q_le_p: DirectionVerdict
+
+
+def _verdict_json(v: DirectionVerdict) -> dict:
+    out = {"refuted": v.refuted}
+    if v.witness is not None:
+        out["witness"] = [format_graph(v.witness[0]),
+                          format_graph(v.witness[1])]
+    return out
+
+
+def comparison_json(rep: ComparisonReport) -> dict:
+    """The report as JSON-ready data, witness graphs as format_graph text."""
+    return {
+        "p": rep.p_label,
+        "q": rep.q_label,
+        "mode": rep.mode,
+        "bound": rep.bound,
+        "p_le_q": _verdict_json(rep.p_le_q),
+        "q_le_p": _verdict_json(rep.q_le_p),
+    }
 
 
 def _first_refuting_pair(fine_values, group_keys):
@@ -258,43 +283,6 @@ def _gadget_pair(t: int, k: int) -> tuple[Graph, Graph, str]:
     return cycle_graph(t), cycle_copies(t, k), "single-vs-copies"
 
 
-@dataclass(frozen=True)
-class ValueCheck:
-    name: str
-    expected: UniPoly
-    actual: UniPoly
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class IncompReport:
-    variant: str
-    i: int
-    j: int
-    k: int
-    pair_shape_i: str
-    pair_shape_j: str
-    checks: tuple[ValueCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def mutual_refutation(self) -> bool:
-        """Both directions between the index-i and index-j invariants fall.
-
-        The index-i pair differs under the index-i invariant but is
-        indistinguishable (both values zero) under the index-j one, and
-        symmetrically, so once every value check passes each direction has
-        an explicit witness pair.
-        """
-        return self.all_ok
-
-
 def _suite_property(variant: str, i: int) -> GraphProperty:
     if variant == "span":
         return builtin(f"cycle_plus_isolated:{i}")
@@ -302,7 +290,7 @@ def _suite_property(variant: str, i: int) -> GraphProperty:
 
 
 def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
-                          caps: Caps = DEFAULT_CAPS) -> IncompReport:
+                          caps: Caps = DEFAULT_CAPS) -> dict:
     """Verify the gadget values separating index-i from index-j invariants.
 
     For the subset and spanning variants the tailed cycle on t vertices
@@ -311,6 +299,11 @@ def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
     variant is safe for any distinct indices: the pendant vertex of a
     tailed cycle has degree 1 and can never sit inside a block inducing a
     cycle, so every cross value vanishes outright.
+
+    The report's "mutual_refutation" is its "all_ok": the index-i pair
+    differs under the index-i invariant but is indistinguishable (both
+    values zero) under the index-j one, and symmetrically, so once every
+    value check passes each direction has an explicit witness pair.
     """
     if variant not in PROPERTY_KINDS:
         raise InputError(f"unknown suite variant {variant!r}")
@@ -326,9 +319,6 @@ def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
     prop_i, prop_j = _suite_property(variant, i), _suite_property(variant, j)
     pair_i = _gadget_pair(i, k)
     pair_j = _gadget_pair(j, k)
-
-    def value(prop: GraphProperty, g: Graph) -> UniPoly:
-        return compute_poly(PolyKind(variant, prop), g, caps)
 
     checks = []
     for tag, prop_own, prop_other, idx, pair in (
@@ -348,100 +338,67 @@ def incomparability_suite(variant: str, i: int, j: int, k: int = 2,
                 expect = (UniPoly.monomial(idx, k), UniPoly.monomial(idx, 1))
             else:
                 expect = (UniPoly.monomial(idx, 1), UniPoly.monomial(idx, k))
-        checks.append(ValueCheck(f"own-{tag}-first", expect[0],
-                                 value(prop_own, first)))
-        checks.append(ValueCheck(f"own-{tag}-second", expect[1],
-                                 value(prop_own, second)))
-        checks.append(ValueCheck(f"cross-{tag}-first", UniPoly.zero(),
-                                 value(prop_other, first)))
-        checks.append(ValueCheck(f"cross-{tag}-second", UniPoly.zero(),
-                                 value(prop_other, second)))
-    return IncompReport(variant=variant, i=i, j=j, k=k,
-                        pair_shape_i=pair_i[2], pair_shape_j=pair_j[2],
-                        checks=tuple(checks))
+        for name, expected, prop, g in (
+                (f"own-{tag}-first", expect[0], prop_own, first),
+                (f"own-{tag}-second", expect[1], prop_own, second),
+                (f"cross-{tag}-first", UniPoly.zero(), prop_other, first),
+                (f"cross-{tag}-second", UniPoly.zero(), prop_other, second)):
+            actual = compute_poly(PolyKind(variant, prop), g, caps)
+            checks.append({"name": name, "expected": expected.text(),
+                           "actual": actual.text(), "ok": expected == actual})
+    all_ok = all(c["ok"] for c in checks)
+    return {"variant": variant, "i": i, "j": j, "k": k,
+            "pair_shape_i": pair_i[2], "pair_shape_j": pair_j[2],
+            "checks": checks, "all_ok": all_ok, "mutual_refutation": all_ok}
 
 
 # ------------------------------------------------------------ complement check
 
 
-@dataclass(frozen=True)
-class ComplementCheckReport:
-    prop_name: str
-    kind: str
-    mode: str
-    closure_note: str | None
-    report: ComparisonReport
-
-    @property
-    def equivalent_up_to_bound(self) -> bool:
-        return not (self.report.p_le_q.refuted or self.report.q_le_p.refuted)
-
-
 def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
-                               caps: Caps = DEFAULT_CAPS
-                               ) -> ComplementCheckReport:
+                               caps: Caps = DEFAULT_CAPS) -> dict:
     """Compare a property's generating polynomial against its complement's.
 
     For the subset and spanning kinds the complement identities pin the two
     values together on similar graphs, so the scan runs in sdp mode and is
     expected to find nothing.  The partition kind has no such identity and
     the scan runs unrestricted (dp), where complementary properties do get
-    separated; connected versus disconnected is the classical case.
+    separated; connected versus disconnected is the classical case.  Only
+    the span report carries a "closure_note".
     """
     if kind not in PROPERTY_KINDS:
         raise InputError(f"kind must be ind, span or genchrom, got {kind!r}")
-    closure_note = None
+    mode = "sdp" if kind in ("ind", "span") else "dp"
+    out = {"prop": c.name, "kind": kind, "mode": mode}
     if kind == "span":
         status = check_closed_isolated(c, bound=n_bound, cap=caps.enum_n)
         if status.state == "refuted":
             raise InputError(
                 f"property {c.name!r} is not closed under isolated "
                 f"vertices (witness order {status.witness.n})")
-        closure_note = f"closure under isolated vertices verified up to " \
-                       f"order {status.bound}"
-    mode = "sdp" if kind in ("ind", "span") else "dp"
+        out["closure_note"] = f"closure under isolated vertices verified " \
+                              f"up to order {status.bound}"
     p = PolyKind(kind, c)
     q = PolyKind(kind, complement_property(c))
     report = compare(p, q, mode, n_bound, caps)
-    return ComplementCheckReport(prop_name=c.name, kind=kind, mode=mode,
-                                 closure_note=closure_note, report=report)
+    out["equivalent_up_to_bound"] = not (report.p_le_q.refuted
+                                         or report.q_le_p.refuted)
+    out["report"] = comparison_json(report)
+    return out
 
 
 # ------------------------------------------------------------ dominating suite
 
 
-@dataclass(frozen=True)
-class DomCase:
-    name: str
-    lhs: int
-    rhs: int
-
-    @property
-    def clash(self) -> bool:
-        return self.lhs != self.rhs
+def _dom_branch(name: str, argument: str, cases) -> dict:
+    """A branch of the case split; it stands when every case clashes."""
+    cases = [{"name": case, "lhs": lhs, "rhs": rhs, "clash": lhs != rhs}
+             for case, lhs, rhs in cases]
+    return {"name": name, "argument": argument, "cases": cases,
+            "ok": all(c["clash"] for c in cases)}
 
 
-@dataclass(frozen=True)
-class DomBranch:
-    name: str
-    argument: str
-    cases: tuple[DomCase, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(case.clash for case in self.cases)
-
-
-@dataclass(frozen=True)
-class DomReport:
-    branches: tuple[DomBranch, ...]
-
-    @property
-    def all_contradict(self) -> bool:
-        return all(branch.ok for branch in self.branches)
-
-
-def dom_inexpressibility_suite() -> DomReport:
+def dom_inexpressibility_suite() -> dict:
     """The dominating-set polynomial is none of the three generating kinds.
 
     Each branch is a finite case split on how a hypothetical property
@@ -471,34 +428,36 @@ def dom_inexpressibility_suite() -> DomReport:
     edge_out = builtin("edgeless")
 
     subset_cases = (
-        DomCase("singleton-in-class, empty pair",
-                int(gen_ind(e2, singleton_in).coefficient(1)),
-                int(dom_e2.coefficient(1))),
-        DomCase("singleton-not-in-class, one-edge pair",
-                int(gen_ind(k2, singleton_out).coefficient(1)),
-                int(dom_k2.coefficient(1))),
+        ("singleton-in-class, empty pair",
+         int(gen_ind(e2, singleton_in).coefficient(1)),
+         int(dom_e2.coefficient(1))),
+        ("singleton-not-in-class, one-edge pair",
+         int(gen_ind(k2, singleton_out).coefficient(1)),
+         int(dom_k2.coefficient(1))),
     )
     spanning_cases = (
-        DomCase("edge-graph-in-class",
-                int(gen_span(k2, edge_in).coefficient(1)),
-                int(dom_k2.coefficient(1))),
-        DomCase("edge-graph-not-in-class",
-                int(gen_span(k2, edge_out).coefficient(1)),
-                int(dom_k2.coefficient(1))),
+        ("edge-graph-in-class",
+         int(gen_span(k2, edge_in).coefficient(1)),
+         int(dom_k2.coefficient(1))),
+        ("edge-graph-not-in-class",
+         int(gen_span(k2, edge_out).coefficient(1)),
+         int(dom_k2.coefficient(1))),
     )
     partition_cases = (
-        DomCase("edge-graph-in-class",
-                gen_chromatic_value(k2, edge_in, 1),
-                int(dom_k2.evaluate(1))),
-        DomCase("edge-graph-not-in-class",
-                gen_chromatic_value(k2, edge_out, 1),
-                int(dom_k2.evaluate(1))),
+        ("edge-graph-in-class",
+         gen_chromatic_value(k2, edge_in, 1),
+         int(dom_k2.evaluate(1))),
+        ("edge-graph-not-in-class",
+         gen_chromatic_value(k2, edge_out, 1),
+         int(dom_k2.evaluate(1))),
     )
-    return DomReport(branches=(
-        DomBranch("subset", "coefficient of X on the two-vertex graphs",
-                  subset_cases),
-        DomBranch("spanning", "coefficient of X on the one-edge graph",
-                  spanning_cases),
-        DomBranch("partition", "evaluation at one color on the one-edge "
-                  "graph", partition_cases),
-    ))
+    branches = [
+        _dom_branch("subset", "coefficient of X on the two-vertex graphs",
+                    subset_cases),
+        _dom_branch("spanning", "coefficient of X on the one-edge graph",
+                    spanning_cases),
+        _dom_branch("partition", "evaluation at one color on the one-edge "
+                    "graph", partition_cases),
+    ]
+    return {"branches": branches,
+            "all_contradict": all(b["ok"] for b in branches)}

@@ -18,6 +18,7 @@ Four entry points:
   identities against the classical orthogonal families and the cheap
   necessary conditions for chromatic values.  A failed screen check
   certifies the input is no chromatic polynomial; passes certify nothing.
+  Both return their reports as the JSON dicts the CLI prints.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ from .graph import (
     MAX_ORDER,
     Graph,
     canonical_form,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     enumerate_graphs,
     family_member,
     get_family,
+    path_graph,
 )
 from .invariants import (
     compute_poly,
@@ -171,35 +175,15 @@ def check_p_unique(g: Graph, poly_kind, n_bound: int,
 # ------------------------------------------------------------ identity suite
 
 
-@dataclass(frozen=True)
-class IdentityItem:
-    name: str
-    checked: tuple[int, ...]
-    failures: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+def _identity_item(name: str, results) -> dict:
+    """One identity over (n, holds) pairs; it is ok when none failed."""
+    results = list(results)
+    failures = [n for n, holds in results if not holds]
+    return {"name": name, "checked": [n for n, _ in results],
+            "failures": failures, "ok": not failures}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    items: tuple[IdentityItem, ...]
-
-    def item(self, name: str) -> IdentityItem:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
-
-    @property
-    def identities_hold(self) -> bool:
-        """The four substantive identities; the unscaled record is excluded."""
-        return all(it.ok for it in self.items
-                   if it.name != "bipartite-laguerre-unscaled")
-
-
-def identity_suite(n_max: int = 12, bipartite_max: int = 5) -> IdentityReport:
+def identity_suite(n_max: int = 12, bipartite_max: int = 5) -> dict:
     """Match the defect matching polynomial against the classical families.
 
     Items: mu(C_n; 2X) = 2 T_n(X) for n >= 3; mu(P_n; 2X) = U_n(X);
@@ -208,93 +192,51 @@ def identity_suite(n_max: int = 12, bipartite_max: int = 5) -> IdentityReport:
     K_{n,n} are exhaustive in 2n vertices.  A final record item evaluates
     the same bipartite identity without the n! factor; it agrees at n = 1
     and breaks from n = 2 on, which the report keeps as data so nobody
-    reintroduces the unscaled form.
+    reintroduces the unscaled form.  "identities_hold" covers the four
+    substantive items and leaves that record out.
     """
-    from .graph import cycle_graph, path_graph, complete_bipartite
-
     if n_max < 3 or bipartite_max < 1:
         raise InputError("identity suite needs n_max >= 3, bipartite_max >= 1")
     double_x = UniPoly([0, 2])
     x_squared = UniPoly([0, 0, 1])
-    items = []
-
-    checked, failures = [], []
-    for n in range(3, n_max + 1):
-        checked.append(n)
-        lhs = matching_defect(cycle_graph(n)).substitute(double_x)
-        if lhs != 2 * chebyshev_t(n):
-            failures.append(n)
-    items.append(IdentityItem("cycle-chebyshev-t", tuple(checked),
-                              tuple(failures)))
-
-    checked, failures = [], []
-    for n in range(1, n_max + 1):
-        checked.append(n)
-        lhs = matching_defect(path_graph(n)).substitute(double_x)
-        if lhs != chebyshev_u(n):
-            failures.append(n)
-    items.append(IdentityItem("path-chebyshev-u", tuple(checked),
-                              tuple(failures)))
-
-    checked, failures = [], []
-    for n in range(1, n_max + 1):
-        checked.append(n)
-        if matching_defect(complete_graph(n)) != hermite_he(n):
-            failures.append(n)
-    items.append(IdentityItem("clique-hermite", tuple(checked),
-                              tuple(failures)))
-
-    checked, failures, unscaled_failures = [], [], []
-    for n in range(1, bipartite_max + 1):
-        checked.append(n)
-        mu = matching_defect(complete_bipartite(n, n))
-        lag = laguerre(n).substitute(x_squared)
-        sign = -1 if n % 2 else 1
-        if mu != sign * factorial(n) * lag:
-            failures.append(n)
-        if mu != sign * lag:
-            unscaled_failures.append(n)
-    items.append(IdentityItem("bipartite-laguerre", tuple(checked),
-                              tuple(failures)))
-    items.append(IdentityItem("bipartite-laguerre-unscaled", tuple(checked),
-                              tuple(unscaled_failures)))
-
-    return IdentityReport(items=tuple(items))
+    bipartite = [(n, matching_defect(complete_bipartite(n, n)),
+                  (-1) ** n * laguerre(n).substitute(x_squared))
+                 for n in range(1, bipartite_max + 1)]
+    items = [
+        _identity_item("cycle-chebyshev-t", (
+            (n, matching_defect(cycle_graph(n)).substitute(double_x)
+             == 2 * chebyshev_t(n)) for n in range(3, n_max + 1))),
+        _identity_item("path-chebyshev-u", (
+            (n, matching_defect(path_graph(n)).substitute(double_x)
+             == chebyshev_u(n)) for n in range(1, n_max + 1))),
+        _identity_item("clique-hermite", (
+            (n, matching_defect(complete_graph(n)) == hermite_he(n))
+            for n in range(1, n_max + 1))),
+        _identity_item("bipartite-laguerre", (
+            (n, mu == factorial(n) * lag) for n, mu, lag in bipartite)),
+        _identity_item("bipartite-laguerre-unscaled", (
+            (n, mu == lag) for n, mu, lag in bipartite)),
+    ]
+    identities_hold = all(it["ok"] for it in items
+                          if it["name"] != "bipartite-laguerre-unscaled")
+    return {"items": items, "identities_hold": identities_hold}
 
 
 # ------------------------------------------------------------ screens
 
 
-@dataclass(frozen=True)
-class ScreenReport:
-    """Necessary-condition verdicts for chromatic-polynomial candidates."""
-
-    checks: tuple[tuple[str, bool], ...]
-
-    def verdict(self, name: str) -> bool:
-        for check, ok in self.checks:
-            if check == name:
-                return ok
-        raise KeyError(name)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def chromatic_screen(p: UniPoly) -> ScreenReport:
+def chromatic_screen(p: UniPoly) -> dict:
     """Cheap filters every chromatic polynomial of a graph satisfies."""
-    checks: list[tuple[str, bool]] = []
+    checks: dict[str, bool] = {}
     try:
         coeffs = list(p.integer_coefficients())
         integral = True
     except ValueError:
         coeffs = list(p.coeffs)
         integral = False
-    checks.append(("integer-coefficients", integral))
-    checks.append(("monic", not p.is_zero() and p.leading_coefficient() == 1))
-    checks.append(("zero-constant-term",
-                   p.is_zero() or p.coefficient(0) == 0))
+    checks["integer-coefficients"] = integral
+    checks["monic"] = not p.is_zero() and p.leading_coefficient() == 1
+    checks["zero-constant-term"] = p.is_zero() or p.coefficient(0) == 0
 
     alternating = not p.is_zero()
     if alternating:
@@ -306,7 +248,7 @@ def chromatic_screen(p: UniPoly) -> ScreenReport:
             if (c < 0) != expected_negative:
                 alternating = False
                 break
-    checks.append(("alternating-signs", alternating))
+    checks["alternating-signs"] = alternating
 
     magnitudes = [abs(c) for c in coeffs]
     descending = False
@@ -317,14 +259,16 @@ def chromatic_screen(p: UniPoly) -> ScreenReport:
         elif cur > prev and descending:
             unimodal = False
             break
-    checks.append(("unimodal", unimodal))
+    checks["unimodal"] = unimodal
 
-    log_concave = all(
+    checks["log-concave"] = all(
         magnitudes[i] * magnitudes[i] >= magnitudes[i - 1] * magnitudes[i + 1]
         for i in range(1, len(magnitudes) - 1))
-    checks.append(("log-concave", log_concave))
 
-    return ScreenReport(checks=tuple(checks))
+    return {"input": p.text(),
+            "checks": [{"name": name, "ok": ok}
+                       for name, ok in checks.items()],
+            "all_pass": all(checks.values())}
 
 
 def maxcl_trivial_recognize(s: UniPoly,

@@ -303,6 +303,76 @@ class TestDeterminismAndErrors:
          '"0 -564 2146 -3670 3795 -2651 1303 -450 105 -15 1", '
          '"0 -2183 9700 -20080 26020 -23640 15823 -7936 2970 -810 153 -18 '
          '1"], "terms": 14, "verified_terms": 14}'),
+        # the suites build these reports as dicts; the bytes pin their schema
+        ("suite --name dom",
+         '{"all_contradict": true, "branches": [{"argument": '
+         '"coefficient of X on the two-vertex graphs", "cases": '
+         '[{"clash": true, "lhs": 2, "name": "singleton-in-class, '
+         'empty pair", "rhs": 0}, {"clash": true, "lhs": 0, "name": '
+         '"singleton-not-in-class, one-edge pair", "rhs": 2}], '
+         '"name": "subset", "ok": true}, {"argument": "coefficient of '
+         'X on the one-edge graph", "cases": [{"clash": true, "lhs": '
+         '1, "name": "edge-graph-in-class", "rhs": 2}, {"clash": '
+         'true, "lhs": 0, "name": "edge-graph-not-in-class", "rhs": '
+         '2}], "name": "spanning", "ok": true}, {"argument": '
+         '"evaluation at one color on the one-edge graph", "cases": '
+         '[{"clash": true, "lhs": 1, "name": "edge-graph-in-class", '
+         '"rhs": 3}, {"clash": true, "lhs": 0, "name": '
+         '"edge-graph-not-in-class", "rhs": 3}], "name": "partition", '
+         '"ok": true}], ' + _CAPS
+         + ', "command": "suite", "elapsed_ms": 0, "jobs": 1, '
+         '"schema_version": 1, "suite": "dom"}'),
+        ("suite --name identities --n-max 5 --bipartite-max 2",
+         '{' + _CAPS
+         + ', "command": "suite", "elapsed_ms": 0, "identities_hold": '
+         'true, "items": [{"checked": [3, 4, 5], "failures": [], '
+         '"name": "cycle-chebyshev-t", "ok": true}, {"checked": [1, '
+         '2, 3, 4, 5], "failures": [], "name": "path-chebyshev-u", '
+         '"ok": true}, {"checked": [1, 2, 3, 4, 5], "failures": [], '
+         '"name": "clique-hermite", "ok": true}, {"checked": [1, 2], '
+         '"failures": [], "name": "bipartite-laguerre", "ok": true}, '
+         '{"checked": [1, 2], "failures": [2], "name": '
+         '"bipartite-laguerre-unscaled", "ok": false}], "jobs": 1, '
+         '"schema_version": 1, "suite": "identities"}'),
+        ("suite --name incomparability --variant genchrom --i 3 --j 4",
+         '{"all_ok": true, ' + _CAPS
+         + ', "checks": [{"actual": "0 1", "expected": "0 1", "name": '
+         '"own-i-first", "ok": true}, {"actual": "0 -1 1", '
+         '"expected": "0 -1 1", "name": "own-i-second", "ok": true}, '
+         '{"actual": "0", "expected": "0", "name": "cross-i-first", '
+         '"ok": true}, {"actual": "0", "expected": "0", "name": '
+         '"cross-i-second", "ok": true}, {"actual": "0 -1 1", '
+         '"expected": "0 -1 1", "name": "own-j-first", "ok": true}, '
+         '{"actual": "0", "expected": "0", "name": "own-j-second", '
+         '"ok": true}, {"actual": "0", "expected": "0", "name": '
+         '"cross-j-first", "ok": true}, {"actual": "0", "expected": '
+         '"0", "name": "cross-j-second", "ok": true}], "command": '
+         '"suite", "elapsed_ms": 0, "i": 3, "j": 4, "jobs": 1, "k": '
+         '2, "mutual_refutation": true, "pair_shape_i": '
+         '"single-vs-copies", "pair_shape_j": "copies-vs-tailed", '
+         '"schema_version": 1, "suite": "incomparability", "variant": '
+         '"genchrom"}'),
+        ("suite --name sdp-complement --kind span --prop match --bound 4",
+         '{' + _CAPS
+         + ', "closure_note": "closure under isolated vertices verified '
+         'up to order 4", "command": "suite", "elapsed_ms": 0, '
+         '"equivalent_up_to_bound": true, "jobs": 1, "kind": "span", '
+         '"mode": "sdp", "prop": "match_like", "report": {"bound": 4, '
+         '"mode": "sdp", "p": "span:match_like", "p_le_q": '
+         '{"refuted": false}, "q": "span:not(match_like)", "q_le_p": '
+         '{"refuted": false}}, "schema_version": 1, "suite": '
+         '"sdp-complement"}'),
+        ("suite --name sdp-complement --kind genchrom "
+         "--prop connected --bound 3",
+         '{' + _CAPS
+         + ', "command": "suite", "elapsed_ms": 0, '
+         '"equivalent_up_to_bound": false, "jobs": 1, "kind": '
+         '"genchrom", "mode": "dp", "prop": "connected", "report": '
+         '{"bound": 3, "mode": "dp", "p": "genchrom:connected", '
+         '"p_le_q": {"refuted": true, "witness": ["1 0\\n", "2 1\\n0 '
+         '1\\n"]}, "q": "genchrom:not(connected)", "q_le_p": '
+         '{"refuted": false}}, "schema_version": 1, "suite": '
+         '"sdp-complement"}'),
     ]
 
     @pytest.mark.parametrize("command, recorded", RECORDED)
@@ -312,6 +382,22 @@ class TestDeterminismAndErrors:
         out = capsys.readouterr().out
         assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) \
             == recorded + "\n"
+
+    def test_screen_matches_the_recorded_bytes(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0 2 -3 1\n")
+        assert main(["screen", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == (
+            '{"all_pass": true, ' + self._CAPS
+            + ', "checks": [{"name": "integer-coefficients", "ok": true}, '
+            '{"name": "monic", "ok": true}, '
+            '{"name": "zero-constant-term", "ok": true}, '
+            '{"name": "alternating-signs", "ok": true}, '
+            '{"name": "unimodal", "ok": true}, '
+            '{"name": "log-concave", "ok": true}], "command": "screen", '
+            '"elapsed_ms": 0, "input": "0 2 -3 1", "jobs": 1, '
+            '"schema_version": 1}\n')
 
     def test_input_error_exit_2(self, capsys):
         code = main(["compute", "--poly", "char",

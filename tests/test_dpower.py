@@ -28,6 +28,7 @@ from graphpoly.graph import (
     empty_graph,
     enumerate_graphs,
     is_isomorphic,
+    parse_graph,
     path_graph,
     similar,
 )
@@ -233,20 +234,20 @@ class TestGadgets:
     def test_incomparability_ind(self):
         for i, j in ((3, 5), (5, 3), (4, 6)):
             rep = incomparability_suite("ind", i, j)
-            assert rep.all_ok, (i, j)
-            assert rep.mutual_refutation
+            assert rep["all_ok"], (i, j)
+            assert rep["mutual_refutation"]
 
     def test_incomparability_span(self):
         for i, j in ((3, 5), (5, 3), (4, 6)):
             rep = incomparability_suite("span", i, j)
-            assert rep.all_ok, (i, j)
-            assert rep.mutual_refutation
+            assert rep["all_ok"], (i, j)
+            assert rep["mutual_refutation"]
 
     def test_incomparability_genchrom(self):
         for i, j in ((3, 4), (4, 3)):
             rep = incomparability_suite("genchrom", i, j)
-            assert rep.all_ok, (i, j)
-            assert rep.mutual_refutation
+            assert rep["all_ok"], (i, j)
+            assert rep["mutual_refutation"]
 
     def test_hypothesis_violations(self):
         with pytest.raises(InputError):
@@ -264,7 +265,7 @@ class TestGadgets:
 
     def test_genchrom_allows_adjacent_indices(self):
         rep = incomparability_suite("genchrom", 4, 5)
-        assert rep.all_ok
+        assert rep["all_ok"]
 
     def test_expected_polynomial_values(self):
         from graphpoly.invariants import gen_ind, gen_span
@@ -295,14 +296,14 @@ class TestComplementChecks:
     def test_ind_properties_equivalent(self):
         for name in ("edgeless", "connected", "forest", "cycle:3"):
             rep = sdp_equiv_complement_check(parse_property(name), "ind", 5)
-            assert rep.mode == "sdp"
-            assert rep.equivalent_up_to_bound, name
+            assert rep["mode"] == "sdp"
+            assert rep["equivalent_up_to_bound"], name
 
     def test_span_properties_equivalent_with_closure_note(self):
         for name in ("match", "cycleE:3"):
             rep = sdp_equiv_complement_check(parse_property(name), "span", 5)
-            assert rep.equivalent_up_to_bound, name
-            assert "closure" in rep.closure_note
+            assert rep["equivalent_up_to_bound"], name
+            assert "closure" in rep["closure_note"]
 
     def test_span_rejects_unclosed_property(self):
         with pytest.raises(InputError):
@@ -322,9 +323,9 @@ class TestComplementChecks:
     def test_partition_kind_separates_connectivity(self):
         rep = sdp_equiv_complement_check(parse_property("connected"),
                                          "genchrom", 5)
-        assert rep.mode == "dp"
-        assert not rep.equivalent_up_to_bound
-        g, h = rep.report.p_le_q.witness
+        assert rep["mode"] == "dp"
+        assert not rep["equivalent_up_to_bound"]
+        g, h = map(parse_graph, rep["report"]["p_le_q"]["witness"])
         assert {g.n, h.n} == {1, 2}
 
     def test_bad_kind(self):
@@ -335,17 +336,17 @@ class TestComplementChecks:
 class TestDomSuite:
     def test_all_branches_contradict(self):
         rep = dom_inexpressibility_suite()
-        assert rep.all_contradict
-        assert {b.name for b in rep.branches} \
+        assert rep["all_contradict"]
+        assert {b["name"] for b in rep["branches"]} \
             == {"subset", "spanning", "partition"}
 
     def test_branch_values(self):
         rep = dom_inexpressibility_suite()
-        by_name = {b.name: b for b in rep.branches}
-        subset_cases = {c.name: c for c in by_name["subset"].cases}
-        assert any(c.lhs != c.rhs for c in subset_cases.values())
-        partition = by_name["partition"].cases
-        assert any(c.rhs == 3 for c in partition)
-        for branch in rep.branches:
-            for case in branch.cases:
-                assert case.clash
+        by_name = {b["name"]: b for b in rep["branches"]}
+        subset_cases = {c["name"]: c for c in by_name["subset"]["cases"]}
+        assert any(c["lhs"] != c["rhs"] for c in subset_cases.values())
+        partition = by_name["partition"]["cases"]
+        assert any(c["rhs"] == 3 for c in partition)
+        for branch in rep["branches"]:
+            for case in branch["cases"]:
+                assert case["clash"]

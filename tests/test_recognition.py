@@ -160,59 +160,81 @@ class TestUniqueness:
         assert is_isomorphic(verdict.counterexample,
                              disjoint_union([path_graph(2), path_graph(2)]))
 
+    @pytest.mark.parametrize("kind", ["mu", "char", "chrom", "indep", "tutte"])
+    def test_recognize_count_of_one_is_p_uniqueness(self, kind):
+        # the CLI asks for P-uniqueness as `recognize --bound B` on P(G):
+        # G is P-unique up to B exactly when the scan returns one class
+        pk = parse_poly_kind(kind)
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                result = brute_recognize(compute_poly(pk, g), pk, 5)
+                assert (len(result.matches) == 1) \
+                    == check_p_unique(g, pk, 5).unique, (kind, g)
+
+
+def identity_item(rep, name):
+    """The identity-suite item of that name."""
+    return next(it for it in rep["items"] if it["name"] == name)
+
+
+def screen_check(rep, name):
+    """The outcome of the screen check of that name."""
+    return next(c["ok"] for c in rep["checks"] if c["name"] == name)
+
 
 class TestIdentitySuite:
     def test_all_identities_hold(self):
         rep = identity_suite(n_max=10, bipartite_max=4)
-        assert rep.identities_hold
+        assert rep["identities_hold"]
         for name in ("cycle-chebyshev-t", "path-chebyshev-u",
                      "clique-hermite", "bipartite-laguerre"):
-            assert rep.item(name).ok, name
+            assert identity_item(rep, name)["ok"], name
 
     def test_identities_hold_past_order_20(self):
         # K_22 and K_{12,12} have more than the 20 vertices of --cap-n
         rep = identity_suite(n_max=22, bipartite_max=12)
-        assert rep.identities_hold
-        assert rep.item("clique-hermite").checked[-1] == 22
-        assert rep.item("bipartite-laguerre").checked[-1] == 12
+        assert rep["identities_hold"]
+        assert identity_item(rep, "clique-hermite")["checked"][-1] == 22
+        assert identity_item(rep, "bipartite-laguerre")["checked"][-1] == 12
 
     def test_unscaled_laguerre_fails_beyond_one(self):
         rep = identity_suite(n_max=6, bipartite_max=4)
-        record = rep.item("bipartite-laguerre-unscaled")
-        assert not record.ok
-        assert record.failures == (2, 3, 4)
+        record = identity_item(rep, "bipartite-laguerre-unscaled")
+        assert not record["ok"]
+        assert record["failures"] == [2, 3, 4]
         # the record does not poison the overall verdict
-        assert rep.identities_hold
+        assert rep["identities_hold"]
 
     def test_ranges(self):
         rep = identity_suite(n_max=6, bipartite_max=3)
-        assert rep.item("cycle-chebyshev-t").checked == (3, 4, 5, 6)
-        assert rep.item("path-chebyshev-u").checked == (1, 2, 3, 4, 5, 6)
-        assert rep.item("bipartite-laguerre").checked == (1, 2, 3)
+        checked = {it["name"]: it["checked"] for it in rep["items"]}
+        assert checked["cycle-chebyshev-t"] == [3, 4, 5, 6]
+        assert checked["path-chebyshev-u"] == [1, 2, 3, 4, 5, 6]
+        assert checked["bipartite-laguerre"] == [1, 2, 3]
 
 
 class TestChromaticScreen:
     def test_real_chromatic_passes(self):
         rep = chromatic_screen(chromatic(cycle_graph(5)))
-        assert rep.all_pass
+        assert rep["all_pass"]
 
     def test_nonzero_constant_rejected(self):
         rep = chromatic_screen(UniPoly([1, 0, 1]))
-        assert not rep.verdict("zero-constant-term")
-        assert not rep.all_pass
+        assert not screen_check(rep, "zero-constant-term")
+        assert not rep["all_pass"]
 
     def test_triangle_chromatic_passes(self):
         rep = chromatic_screen(UniPoly([0, 2, -3, 1]))
-        assert rep.all_pass
+        assert rep["all_pass"]
 
     def test_fraction_coefficients_rejected(self):
         from fractions import Fraction
         rep = chromatic_screen(UniPoly([0, Fraction(1, 2), 1]))
-        assert not rep.verdict("integer-coefficients")
+        assert not screen_check(rep, "integer-coefficients")
 
     def test_sign_alternation_detects_positive_middle(self):
         rep = chromatic_screen(UniPoly([0, 1, 1, 1]))
-        assert not rep.verdict("alternating-signs")
+        assert not screen_check(rep, "alternating-signs")
 
     def test_never_fails_on_connected_graphs(self):
         from graphpoly.properties import builtin
@@ -221,7 +243,7 @@ class TestChromaticScreen:
             for g in enumerate_graphs(n):
                 if conn.holds(g):
                     rep = chromatic_screen(chromatic(g))
-                    assert rep.all_pass, (n, g)
+                    assert rep["all_pass"], (n, g)
 
 
 class TestMaxclBuild:
