@@ -11,7 +11,6 @@ from .errors import CapError, InputError
 from .graph import (
     Graph,
     canonical_form,
-    complement_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -59,7 +58,6 @@ from .properties import (
 )
 from .recognition import (
     brute_recognize,
-    check_p_unique,
     chromatic_screen,
     family_recognize,
     identity_suite,
@@ -68,10 +66,8 @@ from .recognition import (
 from .recurrence import (
     PolySequence,
     RecurrenceSpec,
-    extend,
     fit,
     fit_family,
-    verify,
 )
 from .dpower import (
     compare,
@@ -79,7 +75,6 @@ from .dpower import (
     evaluate_handle,
     incomparability_suite,
     parse_handle,
-    property_relation,
     sdp_equiv_complement_check,
 )
 

@@ -6,7 +6,7 @@ strict variant s.d.p. quantifies only over similar pairs, i.e. graphs
 sharing the (vertex, edge, component) signature; since those pairs are a
 subset of all pairs, a refutation found in s.d.p. mode is automatically a
 d.p. refutation, and a d.p. no-refutation forces an s.d.p. no-refutation.
-check_dp_sdp_implication asserts that implication by running both scans.
+Running compare in both modes on the same pair shows that implication.
 
 An invariant handle is a PolyKind: a polynomial kind, or kind "prop" for a
 property read as 0/1.  A scan computes each handle once per class and
@@ -182,72 +182,6 @@ def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
         _reverify(backward.witness, q, p, mode, caps)
     return ComparisonReport(p_label=p.label(), q_label=q.label(), mode=mode,
                             bound=n_bound, p_le_q=forward, q_le_p=backward)
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    dp: ComparisonReport
-    sdp: ComparisonReport
-
-    @property
-    def holds(self) -> bool:
-        """dp no-refutation forces sdp no-refutation, in both directions."""
-        ok_fwd = self.dp.p_le_q.refuted or not self.sdp.p_le_q.refuted
-        ok_bwd = self.dp.q_le_p.refuted or not self.sdp.q_le_p.refuted
-        return ok_fwd and ok_bwd
-
-
-def check_dp_sdp_implication(p: PolyKind, q: PolyKind,
-                             n_bound: int, caps: Caps = DEFAULT_CAPS
-                             ) -> ImplicationReport:
-    dp = compare(p, q, "dp", n_bound, caps)
-    sdp = compare(p, q, "sdp", n_bound, caps)
-    return ImplicationReport(dp=dp, sdp=sdp)
-
-
-# ------------------------------------------------------------ property relation
-
-
-@dataclass(frozen=True)
-class PropertyRelation:
-    """How two properties sit relative to each other on a bounded universe."""
-
-    relation: str  # equal | complement | incomparable
-    bound: int
-    in_both: Graph | None
-    in_first_only: Graph | None
-    in_second_only: Graph | None
-    in_neither: Graph | None
-
-
-def property_relation(c1: GraphProperty, c2: GraphProperty, n_bound: int,
-                      caps: Caps = DEFAULT_CAPS) -> PropertyRelation:
-    """Pointwise equal, pointwise complementary, or neither (with witnesses).
-
-    The four membership regions get their first witness in universe order;
-    equality means both exclusive regions stay empty, complementarity means
-    the agreement regions (both, neither) stay empty.
-    """
-    in_both = in_first = in_second = in_neither = None
-    for g in graphs_up_to(n_bound, cap=caps.enum_n):
-        a, b = c1.holds(g), c2.holds(g)
-        if a and b and in_both is None:
-            in_both = g
-        elif a and not b and in_first is None:
-            in_first = g
-        elif b and not a and in_second is None:
-            in_second = g
-        elif not a and not b and in_neither is None:
-            in_neither = g
-    if in_first is None and in_second is None:
-        relation = "equal"
-    elif in_both is None and in_neither is None:
-        relation = "complement"
-    else:
-        relation = "incomparable"
-    return PropertyRelation(relation=relation, bound=n_bound,
-                            in_both=in_both, in_first_only=in_first,
-                            in_second_only=in_second, in_neither=in_neither)
 
 
 # ------------------------------------------------------------ gadget suite

@@ -160,12 +160,6 @@ def graph_join(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def complement_graph(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, adj)
-
-
 def induced_from_mask(g: Graph, mask: int) -> Graph:
     """Induced subgraph on the vertices of a nonzero bitmask."""
     verts = list(bits(mask))

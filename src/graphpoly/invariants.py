@@ -23,10 +23,9 @@ exact rationals or integers:
   blocks, each inducing a member of C, then expand sum_j b_j X_(j) from
   the falling-factorial basis.  Evaluated at a nonnegative integer this
   counts colorings with that many available colors where every nonempty
-  color class induces a member of C (empty classes permitted); the strict
-  variant additionally requires empty classes to satisfy contains_null,
-  which for contains_null = False means exactly-j-surjective counts and
-  is no longer polynomial in the color count.
+  color class induces a member of C (empty classes permitted).  The
+  builtin edgeless class reads the chromatic sweep's block counts; every
+  other class runs a subset convolution bounded by the partition cap.
 * chromatic: the edgeless instance, i.e. proper colorings.  Computed by a
   frontier sweep (below) so that structured graphs well beyond the
   partition cap stay feasible.
@@ -254,10 +253,15 @@ def gen_chromatic_blocks(g: Graph, c: GraphProperty,
                          cap_partition: int | None = None) -> tuple[int, ...]:
     """b_j = number of partitions of V into j blocks each inducing C.
 
-    Organized as a subset convolution over the valid blocks containing the
-    lowest unassigned vertex, which enumerates exactly the partitions into
+    The builtin edgeless class reads chromatic_blocks, bounded by the
+    frontier sweep's constants, not by cap_partition.  Every other class
+    runs a subset convolution over the valid blocks containing the lowest
+    unassigned vertex, which enumerates exactly the partitions into
     C-blocks without materializing every set partition.
     """
+    sweep = _CHROMATIC_BY_SWEEP.get(c.predicate)
+    if sweep is not None:
+        return sweep(g)
     cap_partition = (DEFAULT_CAPS.partition_n if cap_partition is None
                      else cap_partition)
     if g.n > cap_partition:
@@ -297,20 +301,15 @@ def gen_chromatic(g: Graph, c: GraphProperty,
 
 
 def gen_chromatic_value(g: Graph, c: GraphProperty, k: int,
-                        strict_empty: bool = False,
                         cap_partition: int | None = None) -> int:
     """Colorings of G with k available colors, classes inducing C.
 
-    Permissive convention: empty color classes are exempt, giving the
-    polynomial evaluation sum_j b_j k_(j).  Strict convention: empty
-    classes must satisfy contains_null; when C lacks the null graph this
-    forces all k classes nonempty, i.e. b_k * k!.
+    Empty color classes are exempt, giving the polynomial evaluation
+    sum_j b_j k_(j).
     """
     if k < 0:
         raise InputError("color count must be nonnegative")
     blocks = gen_chromatic_blocks(g, c, cap_partition)
-    if strict_empty and not c.contains_null:
-        return blocks[k] * math.factorial(k) if k < len(blocks) else 0
     return sum(b * math.perm(k, j) for j, b in enumerate(blocks))
 
 
@@ -432,6 +431,10 @@ def chromatic_blocks(g: Graph) -> tuple[int, ...]:
 def chromatic(g: Graph) -> UniPoly:
     """Proper-coloring polynomial; agrees with gen_chromatic at edgeless."""
     return falling_to_monomial(chromatic_blocks(g))
+
+
+# builtin partition classes that a sweep counts directly
+_CHROMATIC_BY_SWEEP = {builtin("edgeless").predicate: chromatic_blocks}
 
 
 # ------------------------------------------------------------ tutte

@@ -1,19 +1,19 @@
 """Recognition of graphs from polynomial values, plus identity suites.
 
-Four entry points:
+Three entry points:
 
 * brute_recognize scans isomorphism classes and keeps graphs whose
   polynomial equals the query exactly.  The characteristic, matching and
   chromatic kinds are monic of degree n, so the query's degree pins the
   order and the scan stays within a single order; other kinds need an
-  explicit bound.
+  explicit bound.  G is P-unique up to a bound B >= n(G) exactly when
+  the scan of P(G) with bound B returns a single class.
 * family_recognize counts up from the family's least index to the member
   whose order is the query's degree (two-index families run along their
   diagonal) and checks that member.  A hit means "equal polynomial
   value"; reading it as "isomorphic to the family member" additionally
   assumes the family is recognizable from this polynomial, and the
   result carries that assumption as a flag rather than a claim.
-* check_p_unique searches for a non-isomorphic graph with the same value.
 * identity_suite and chromatic_screen package the matching-polynomial
   identities against the classical orthogonal families and the cheap
   necessary conditions for chromatic values.  A failed screen check
@@ -31,7 +31,6 @@ from .errors import CapError, InputError
 from .graph import (
     MAX_ORDER,
     Graph,
-    canonical_form,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -73,13 +72,6 @@ class FamilyRecognition:
         return self.index is not None
 
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
-    unique: bool
-    counterexample: Graph | None
-    bound: int
-
-
 def _query_order(p: UniPoly) -> int | None:
     """Order a monic degree-n kind would force, None if no graph can match."""
     if p.is_zero() or p.degree < 1:
@@ -105,14 +97,6 @@ def _scan_orders(pk, forced: int | None, n_bound: int | None) -> range:
     return range(1, n_bound + 1)
 
 
-def _scan(pk, value, orders: range, caps: Caps):
-    """Lazily yield the classes of the given orders whose pk equals value."""
-    for n in orders:
-        for g in enumerate_graphs(n, cap=caps.enum_n):
-            if compute_poly(pk, g, caps) == value:
-                yield g
-
-
 def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
                     caps: Caps = DEFAULT_CAPS) -> RecognitionResult:
     """Exhaustive scan for graphs whose polynomial equals p.
@@ -127,7 +111,9 @@ def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
     pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     # only degree-forced kinds read the query's degree; a tutte query has none
     forced = _query_order(p) if pk.kind in DEGREE_FORCED_KINDS else None
-    matches = tuple(_scan(pk, p, _scan_orders(pk, forced, n_bound), caps))
+    matches = tuple(g for n in _scan_orders(pk, forced, n_bound)
+                    for g in enumerate_graphs(n, cap=caps.enum_n)
+                    if compute_poly(pk, g, caps) == p)
     bound = n_bound if n_bound is not None else forced or 0
     return RecognitionResult(matches=matches, method="brute", bound=bound)
 
@@ -148,28 +134,6 @@ def family_recognize(p: UniPoly, poly_kind, family: str,
         pk, family_member(family, idx), caps) == p
     return FamilyRecognition(index=idx if found else None, family=family,
                              kind=pk.label())
-
-
-def check_p_unique(g: Graph, poly_kind, n_bound: int,
-                   caps: Caps = DEFAULT_CAPS) -> UniquenessVerdict:
-    """Search the universe for a non-isomorphic graph with the same value.
-
-    Degree-forced kinds only ever collide within one order, so the scan
-    stays there; the rest scan every order up to the bound.  The first
-    match whose canonical form differs from g's ends the scan.  The
-    verdict is relative to the bound by construction.
-    """
-    pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
-    if g.n > n_bound:
-        raise InputError(
-            f"graph order {g.n} exceeds the requested bound {n_bound}")
-    value = compute_poly(pk, g, caps)
-    key = canonical_form(g)
-    for h in _scan(pk, value, _scan_orders(pk, g.n, n_bound), caps):
-        if canonical_form(h) != key:
-            return UniquenessVerdict(unique=False, counterexample=h,
-                                     bound=n_bound)
-    return UniquenessVerdict(unique=True, counterexample=None, bound=n_bound)
 
 
 # ------------------------------------------------------------ identity suite

@@ -1,4 +1,4 @@
-"""Fitting, checking and extending linear recurrences for polynomial sequences.
+"""Fitting linear recurrences to polynomial sequences.
 
 The model: a sequence p_0, p_1, ... of univariate polynomials satisfies
 
@@ -154,28 +154,6 @@ def fit(seq: PolySequence, max_order: int, max_deg: int,
                 return RecurrenceSpec(order=q, coefficients=fs,
                                       seeds=terms[:q], degree_bound=d)
     return None
-
-
-def verify(spec: RecurrenceSpec, seq: PolySequence) -> bool:
-    """Exact check of the relation on every window of the sequence."""
-    if len(seq.terms) <= spec.order:
-        raise InputError(
-            f"verification needs more than {spec.order} terms")
-    return _holds_everywhere(spec.coefficients, seq.terms, spec.order)
-
-
-def extend(spec: RecurrenceSpec, count: int) -> PolySequence:
-    """The seeds followed by `count` terms generated from the relation."""
-    if count < 0:
-        raise InputError("count must be nonnegative")
-    terms = list(spec.seeds)
-    q = spec.order
-    for _ in range(count):
-        acc = UniPoly.zero()
-        for t in range(q):
-            acc = acc + spec.coefficients[t] * terms[len(terms) - q + t]
-        terms.append(acc)
-    return PolySequence(base_index=0, terms=tuple(terms), label="extended")
 
 
 # ------------------------------------------------------------ family plumbing

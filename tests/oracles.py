@@ -8,23 +8,45 @@ form, a backtracking isomorphism test (isomorphic_by_search, the
 package's former is_isomorphic) and a class enumeration that dedupes by
 it.  Nothing shares algorithmic code with the package beyond the Graph
 accessors; the package decides isomorphism only by canonical forms, and
-polynomial arithmetic here is done on plain coefficient lists.  The one
-exception is char_poly_by_interpolation, the package's former
-characteristic polynomial: n + 1 Bareiss determinants and Newton
-interpolation from graphpoly.poly, which its modular Hessenberg path does
-not use.  matchings_by_memo is the package's former matching count, a
-memo over vertex masks that shares nothing with the frontier sweep
-replacing it.  relabel, induced_subgraph and degrees are graph helpers
-that only the tests use.
+polynomial arithmetic here is done on plain coefficient lists.  The
+exceptions are the last sections (below) and char_poly_by_interpolation,
+the package's former characteristic polynomial: n + 1 Bareiss
+determinants and Newton interpolation from graphpoly.poly, which its
+modular Hessenberg path does not use.  matchings_by_memo is the
+package's former matching count, a memo over vertex masks that shares
+nothing with the frontier sweep replacing it.  relabel,
+induced_subgraph, complement_graph and degrees are graph helpers that
+only the tests use.
+
+The last sections hold former library functions that only the tests
+called, and they run the package's enumeration and polynomials:
+property_relation, check_p_unique, and the recurrence helpers verify and
+extend.  check_p_unique decides that a match is not g itself with
+isomorphic_by_search, so it checks recognize's count of one without the
+package's canonical forms; verify recomputes every window of a relation
+without fit's code.
 """
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from graphpoly.caps import Caps, DEFAULT_CAPS
 from graphpoly.errors import InputError
-from graphpoly.graph import Graph, bits, edge_count, edge_list
-from graphpoly.poly import int_determinant, interpolate
+from graphpoly.graph import (
+    Graph,
+    bits,
+    edge_count,
+    edge_list,
+    enumerate_graphs,
+    graphs_up_to,
+)
+from graphpoly.invariants import PolyKind, compute_poly
+from graphpoly.poly import UniPoly, int_determinant, interpolate
+from graphpoly.properties import GraphProperty
+from graphpoly.recognition import DEGREE_FORCED_KINDS
+from graphpoly.recurrence import PolySequence, RecurrenceSpec
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -64,6 +86,12 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
                 row |= 1 << index[u]
         adj[index[v]] = row
     return Graph(len(verts), tuple(adj))
+
+
+def complement_graph(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
+    return Graph(g.n, adj)
 
 
 # ---------------------------------------------------------------- poly lists
@@ -676,3 +704,108 @@ def is_normal(c) -> bool:
     """An int, or a Fraction whose denominator exceeds 1: never a bool, a
     float or a whole-number Fraction."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+# ---------------------------------------------------------------- property relation
+
+
+@dataclass(frozen=True)
+class PropertyRelation:
+    """How two properties sit relative to each other on a bounded universe."""
+
+    relation: str  # equal | complement | incomparable
+    bound: int
+    in_both: Graph | None
+    in_first_only: Graph | None
+    in_second_only: Graph | None
+    in_neither: Graph | None
+
+
+def property_relation(c1: GraphProperty, c2: GraphProperty, n_bound: int,
+                      caps: Caps = DEFAULT_CAPS) -> PropertyRelation:
+    """Pointwise equal, pointwise complementary, or neither (with witnesses).
+
+    The four membership regions get their first witness in universe order;
+    equality means both exclusive regions stay empty, complementarity means
+    the agreement regions (both, neither) stay empty.
+    """
+    in_both = in_first = in_second = in_neither = None
+    for g in graphs_up_to(n_bound, cap=caps.enum_n):
+        a, b = c1.holds(g), c2.holds(g)
+        if a and b and in_both is None:
+            in_both = g
+        elif a and not b and in_first is None:
+            in_first = g
+        elif b and not a and in_second is None:
+            in_second = g
+        elif not a and not b and in_neither is None:
+            in_neither = g
+    if in_first is None and in_second is None:
+        relation = "equal"
+    elif in_both is None and in_neither is None:
+        relation = "complement"
+    else:
+        relation = "incomparable"
+    return PropertyRelation(relation=relation, bound=n_bound,
+                            in_both=in_both, in_first_only=in_first,
+                            in_second_only=in_second, in_neither=in_neither)
+
+
+# ---------------------------------------------------------------- P-uniqueness
+
+
+@dataclass(frozen=True)
+class UniquenessVerdict:
+    unique: bool
+    counterexample: Graph | None
+    bound: int
+
+
+def check_p_unique(g: Graph, pk: PolyKind, n_bound: int) -> UniquenessVerdict:
+    """Search the universe for a non-isomorphic graph with the same value.
+
+    Degree-forced kinds only ever collide within one order, so the scan
+    stays there; the rest scan every order up to the bound.  The first
+    match that isomorphic_by_search tells apart from g ends the scan.  The
+    verdict is relative to the bound by construction.
+    """
+    if g.n > n_bound:
+        raise InputError(
+            f"graph order {g.n} exceeds the requested bound {n_bound}")
+    value = compute_poly(pk, g)
+    orders = ((g.n,) if pk.kind in DEGREE_FORCED_KINDS
+              else range(1, n_bound + 1))
+    for n in orders:
+        for h in enumerate_graphs(n):
+            if compute_poly(pk, h) == value \
+                    and not isomorphic_by_search(g, h):
+                return UniquenessVerdict(unique=False, counterexample=h,
+                                         bound=n_bound)
+    return UniquenessVerdict(unique=True, counterexample=None, bound=n_bound)
+
+
+# ---------------------------------------------------------------- recurrences
+
+
+def verify(spec: RecurrenceSpec, seq: PolySequence) -> bool:
+    """Exact check of the relation on every window of the sequence."""
+    if len(seq.terms) <= spec.order:
+        raise InputError(
+            f"verification needs more than {spec.order} terms")
+    q, fs, terms = spec.order, spec.coefficients, seq.terms
+    return all(sum((fs[t] * terms[s + t] for t in range(q)), UniPoly.zero())
+               == terms[s + q] for s in range(len(terms) - q))
+
+
+def extend(spec: RecurrenceSpec, count: int) -> PolySequence:
+    """The seeds followed by `count` terms generated from the relation."""
+    if count < 0:
+        raise InputError("count must be nonnegative")
+    terms = list(spec.seeds)
+    q = spec.order
+    for _ in range(count):
+        acc = UniPoly.zero()
+        for t in range(q):
+            acc = acc + spec.coefficients[t] * terms[len(terms) - q + t]
+        terms.append(acc)
+    return PolySequence(base_index=0, terms=tuple(terms), label="extended")

@@ -3,18 +3,17 @@
 import pytest
 
 import oracles
+from oracles import property_relation
 import graphpoly.dpower
 import graphpoly.graph
 from graphpoly.caps import Caps
 from graphpoly.dpower import (
-    check_dp_sdp_implication,
     compare,
     cycle_copies,
     dom_inexpressibility_suite,
     evaluate_handle,
     incomparability_suite,
     parse_handle,
-    property_relation,
     sdp_equiv_complement_check,
     tailed_mix,
 )
@@ -176,9 +175,11 @@ class TestCompare:
         for p_text, q_text in (("chrom", "tutte"), ("indep", "char"),
                                ("chrom", "char"), ("mu", "char"),
                                ("prop:connected", "chrom")):
-            rep = check_dp_sdp_implication(
-                parse_handle(p_text), parse_handle(q_text), 5)
-            assert rep.holds, (p_text, q_text)
+            # dp no-refutation forces sdp no-refutation, both directions
+            p, q = parse_handle(p_text), parse_handle(q_text)
+            dp, sdp = compare(p, q, "dp", 5), compare(p, q, "sdp", 5)
+            assert dp.p_le_q.refuted or not sdp.p_le_q.refuted, (p_text, q_text)
+            assert dp.q_le_p.refuted or not sdp.q_le_p.refuted, (p_text, q_text)
 
     def test_complementary_properties_same_report(self):
         third = parse_handle("indep")

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import oracles
+from oracles import complement_graph
 from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
     CANON_WIDTH,
@@ -13,7 +14,6 @@ from graphpoly.graph import (
     MAX_ORDER,
     FamilySpec,
     canonical_form,
-    complement_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,

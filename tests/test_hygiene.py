@@ -1,5 +1,6 @@
-"""Source hygiene: every module uses each name it imports, and every
-function the benchmark tracer wraps by name exists."""
+"""Source hygiene: every module uses each name it imports, every
+top-level library name has a caller in the library, and every function
+the benchmark tracer wraps by name exists."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,13 @@ from pathlib import Path
 import graphpoly
 
 PACKAGE = Path(graphpoly.__file__).parent
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+
+def library_modules():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    return modules
 
 
 def imported_names(tree):
@@ -28,21 +36,48 @@ def unused_imports(path):
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = [entry for path in modules for entry in unused_imports(path)]
+    unused = [entry for path in library_modules()
+              for entry in unused_imports(path)]
     assert unused == []
+
+
+def spanned_names(tree):
+    """module.function for each entry of the tracer's SPANNED table."""
+    spanned = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["SPANNED"])
+    return [f"{module}.{fn}" for module, fns in spanned.items() for fn in fns]
+
+
+def test_every_library_name_has_a_library_caller():
+    # a name counts as used when its own module reads it or another module
+    # imports it; attributes do not count, so `terms.extend(...)` keeps no
+    # library function named extend alive
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    exempt = set(spanned_names(tree))
+    exempt |= {node.args[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "counted"}
+    defined, used = [], set()
+    for path in library_modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        used |= {f"{path.stem}.{node.id}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        used |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names}
+    unused = [name for name in defined if name not in used | exempt]
+    assert len(defined) > len(exempt) and unused == []
 
 
 def test_every_traced_name_resolves():
     # the benchmark's tracer wraps these by name; a deletion here would
     # break its traced runs without failing anything else
-    source = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(source.read_text(), filename=str(source))
-    spanned = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["SPANNED"])
-    names = [f"{module}.{fn}" for module, fns in spanned.items() for fn in fns]
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    names = spanned_names(tree)
     names += ["graph.induced_from_mask", "properties.GraphProperty.holds"]
     missing = []
     for name in names:

@@ -5,11 +5,11 @@ import random
 import pytest
 
 import oracles
+from oracles import complement_graph
 from graphpoly import invariants
 from graphpoly.caps import Caps
 from graphpoly.errors import CapError, InputError
 from graphpoly.graph import (
-    complement_graph,
     complete_bipartite,
     complete_graph,
     component_masks,
@@ -465,12 +465,30 @@ class TestGenChromatic:
         for i in (2, 3, 4):
             g = complete_graph(i)
             assert gen_chromatic_value(g, conn, 2) == 2 ** i
-            assert gen_chromatic_value(g, conn, 2, strict_empty=True) \
-                == 2 ** i - 2
+            # with both classes nonempty: b_2 two-block partitions, 2! ways
+            blocks = gen_chromatic_blocks(g, conn)
+            assert blocks[2] * oracles.factorial(2) == 2 ** i - 2
 
     def test_partition_cap(self):
         with pytest.raises(CapError):
-            gen_chromatic(path_graph(11), builtin("edgeless"))
+            gen_chromatic(path_graph(11), builtin("connected"))
+
+    def test_edgeless_sweep_matches_convolution(self):
+        # a fresh predicate object is not recognised, so it takes the
+        # subset convolution instead of the chromatic sweep
+        edgeless = builtin("edgeless")
+        generic = GraphProperty(
+            "edgeless", lambda adj, mask: edgeless.predicate(adj, mask))
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        for g in graphs + [ladder_graph(5)]:
+            assert gen_chromatic_blocks(g, edgeless) \
+                == gen_chromatic_blocks(g, generic), g
+
+    def test_edgeless_beyond_the_partition_cap(self):
+        # ladder:8 has 16 vertices, over the partition cap of 10
+        g = ladder_graph(8)
+        assert compute_poly(parse_poly_kind("genchrom:edgeless"), g) \
+            == compute_poly(parse_poly_kind("chrom"), g)
 
     def test_cycle_block_lemma(self):
         # chi_{C_i}(k copies of C_i) counts ordered assignments of the

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import check_p_unique
 from graphpoly.errors import InputError
 from graphpoly.graph import (
     complete_bipartite,
@@ -24,7 +25,6 @@ from graphpoly.orthopoly import hermite_he
 from graphpoly.poly import UniPoly
 from graphpoly.recognition import (
     brute_recognize,
-    check_p_unique,
     chromatic_screen,
     family_recognize,
     identity_suite,

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import extend, verify
 from graphpoly.errors import InputError
 from graphpoly.graph import complete_bipartite, grid_graph
 from graphpoly.invariants import char_poly, parse_poly_kind
@@ -13,12 +14,10 @@ from graphpoly.poly import UniPoly
 from graphpoly.recurrence import (
     PolySequence,
     RecurrenceSpec,
-    extend,
     family_sequence,
     fit,
     fit_family,
     parse_family_range,
-    verify,
 )
 
 X = UniPoly.x()
