@@ -24,11 +24,10 @@ exact rationals or integers:
   the falling-factorial basis.  Evaluated at a nonnegative integer this
   counts colorings with that many available colors where every nonempty
   color class induces a member of C (empty classes permitted).  The
-  builtin edgeless class reads the chromatic sweep's block counts; every
-  other class runs a subset convolution bounded by the partition cap.
-* chromatic: the edgeless instance, i.e. proper colorings.  Computed by a
-  frontier sweep (below) so that structured graphs well beyond the
-  partition cap stay feasible.
+  builtin edgeless class is chromatic itself; every other class runs a
+  subset convolution bounded by the partition cap.
+* chromatic: the edgeless instance, i.e. proper colorings, counted by the
+  colour sweep (below) with the colour count x packed into one int.
 * tutte: sum over edge subsets of (X-1)^(r(E)-r(A)) (Y-1)^(|A|-r(A)) with
   r the rank n - components, expanded from the number of edge subsets of
   each rank and nullity that the rank-nullity sweep (below) counts.
@@ -48,10 +47,10 @@ of frontier states rather than with 2^n or 2^m: complete graphs collapse
 to a few states, and cycles, ladders, wheels and similar families with a
 few dozen vertices stay in range.  The transition sets:
 
-* chromatic: the independent blocks on the frontier and the number t of
-  retired blocks.  No later vertex is adjacent to a retired block, so v
-  joins a frontier block it has no edge into, starts a new block, or
-  joins one of the t retired blocks.
+* chromatic: the frontier partition into colour classes.  v joins a
+  frontier block it has no edge into (factor 1), or takes a colour that
+  none of the f frontier blocks uses (factor x - f); the count is the
+  partial polynomial evaluated at x = 2^B.
 * rank-nullity: the connectivity partition that the chosen edges induce
   on the frontier and the number of retired components, with counts
   packed by nullity.  v joins any subset of the blocks it has edges into.
@@ -253,15 +252,10 @@ def gen_chromatic_blocks(g: Graph, c: GraphProperty,
                          cap_partition: int | None = None) -> tuple[int, ...]:
     """b_j = number of partitions of V into j blocks each inducing C.
 
-    The builtin edgeless class reads chromatic_blocks, bounded by the
-    frontier sweep's constants, not by cap_partition.  Every other class
-    runs a subset convolution over the valid blocks containing the lowest
+    A subset convolution over the valid blocks containing the lowest
     unassigned vertex, which enumerates exactly the partitions into
     C-blocks without materializing every set partition.
     """
-    sweep = _CHROMATIC_BY_SWEEP.get(c.predicate)
-    if sweep is not None:
-        return sweep(g)
     cap_partition = (DEFAULT_CAPS.partition_n if cap_partition is None
                      else cap_partition)
     if g.n > cap_partition:
@@ -296,12 +290,14 @@ def gen_chromatic_blocks(g: Graph, c: GraphProperty,
 
 def gen_chromatic(g: Graph, c: GraphProperty,
                   cap_partition: int | None = None) -> UniPoly:
-    """sum_j b_j X_(j) expanded into the monomial basis."""
+    """sum_j b_j X_(j) expanded into the monomial basis; the builtin
+    edgeless class reads chromatic, which cap_partition does not bound."""
+    if c.predicate is builtin("edgeless").predicate:
+        return chromatic(g)
     return falling_to_monomial(gen_chromatic_blocks(g, c, cap_partition))
 
 
-def gen_chromatic_value(g: Graph, c: GraphProperty, k: int,
-                        cap_partition: int | None = None) -> int:
+def gen_chromatic_value(g: Graph, c: GraphProperty, k: int) -> int:
     """Colorings of G with k available colors, classes inducing C.
 
     Empty color classes are exempt, giving the polynomial evaluation
@@ -309,33 +305,34 @@ def gen_chromatic_value(g: Graph, c: GraphProperty, k: int,
     """
     if k < 0:
         raise InputError("color count must be nonnegative")
-    blocks = gen_chromatic_blocks(g, c, cap_partition)
-    return sum(b * math.perm(k, j) for j, b in enumerate(blocks))
+    return gen_chromatic(g, c).evaluate(k)
 
 
 def _elimination_order(g: Graph) -> list[int]:
-    """Greedy vertex order keeping the set of half-done vertices small."""
-    n = g.n
-    unprocessed = set(range(n))
-    processed_mask = 0
+    """Greedy vertex order keeping the set of half-done vertices small.
+
+    Each step takes the least (frontier size after v, -done neighbours, v):
+    v retires its neighbours in `last` and stays if it has later ones.
+    """
+    adj = g.adj
+    left = [a.bit_count() for a in adj]    # unprocessed neighbours
+    unprocessed = set(range(g.n))
+    frontier = last = 0                    # last: frontier with left == 1
     order = []
-    for _ in range(n):
-        best_v = -1
-        best_key = None
-        for v in unprocessed:
-            new_mask = processed_mask | 1 << v
-            frontier = 0
-            for u in bits(new_mask):
-                if g.adj[u] & ~new_mask:
-                    frontier += 1
-            done_neighbors = (g.adj[v] & processed_mask).bit_count()
-            key = (frontier, -done_neighbors, v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        order.append(best_v)
-        unprocessed.remove(best_v)
-        processed_mask |= 1 << best_v
+    for _ in range(g.n):
+        size = frontier.bit_count()
+        v = min(unprocessed, key=lambda v: (
+            size - (last & adj[v]).bit_count() + (left[v] > 0),
+            left[v] - adj[v].bit_count(), v))
+        order.append(v)
+        unprocessed.remove(v)
+        for u in bits(adj[v]):
+            left[u] -= 1
+        # only v and its frontier neighbours change membership
+        for u in bits((adj[v] & frontier) | 1 << v):
+            bit = 1 << u
+            frontier = frontier | bit if left[u] else frontier & ~bit
+            last = last | bit if left[u] == 1 else last & ~bit
     return order
 
 
@@ -399,42 +396,39 @@ def _fields(packed: int, width: int, size: int) -> list[int]:
     return [packed >> (width * k) & field for k in range(size)]
 
 
-def chromatic_blocks(g: Graph) -> tuple[int, ...]:
-    """Partitions of V into j independent blocks, via the frontier sweep.
+def chromatic(g: Graph) -> UniPoly:
+    """Proper-coloring polynomial P(G; x), by the colour sweep.
 
-    A state is the blocks restricted to the frontier, as sorted bitmasks,
-    and the number t of retired blocks.  No vertex processed later is
-    adjacent to a retired block, so v may join any of the t retired blocks
-    as well as a frontier block it has no edge into, or start a new block.
+    A state is the frontier partition into colour classes, as sorted block
+    bitmasks.  No later vertex is adjacent to a retired vertex, so v joins
+    a frontier block it has no edge into, or takes one of the x - f
+    colours that none of the f frontier blocks uses.  The count is the
+    partial polynomial evaluated at x = 2^B, with B = m + 2, and the
+    final count is read as n + 1 balanced base-2^B digits.
+
+    The coefficients of P alternate in sign, so sum_k |a_k| = |P(-1)|,
+    the number of acyclic orientations (Stanley), which is at most 2^m.
+    So every |a_k| <= 2^m < 2^(B-1) and the digits are exact; only the
+    final value is decoded, and the intermediate ints are exact too.
     """
     adj = g.adj
+    width = edge_count(g) + 2
+    x = 1 << width
+    half = x >> 1
 
-    def expand(state, v, ahead, gone):
-        blocks, t = state
+    def expand(blocks, v, ahead, gone):
         for i, b in enumerate(blocks):
             if not b & adj[v]:
-                live, shut = _settle(
-                    blocks[:i] + (b | 1 << v,) + blocks[i + 1:], gone)
-                yield (live, t + shut), 1
-        live, shut = _settle(blocks + (1 << v,), gone)
-        yield (live, t + shut), 1
-        if t:
-            yield (live, t - 1 + shut), t
+                yield _settle(
+                    blocks[:i] + (b | 1 << v,) + blocks[i + 1:], gone)[0], 1
+        yield _settle(blocks + (1 << v,), gone)[0], x - len(blocks)
 
-    out = [0] * (g.n + 1)
-    sweep = _frontier_sweep(g, ((), 0), expand, "chromatic")
-    for (_, t), ways in sweep.items():
-        out[t] += ways
-    return tuple(out)
-
-
-def chromatic(g: Graph) -> UniPoly:
-    """Proper-coloring polynomial; agrees with gen_chromatic at edgeless."""
-    return falling_to_monomial(chromatic_blocks(g))
-
-
-# builtin partition classes that a sweep counts directly
-_CHROMATIC_BY_SWEEP = {builtin("edgeless").predicate: chromatic_blocks}
+    packed = sum(_frontier_sweep(g, (), expand, "chromatic").values())
+    # a digit plus half lies in [0, x), so these fields never carry
+    packed += sum(half << width * k for k in range(g.n + 1))
+    if packed >> width * (g.n + 1):
+        raise ValueError("chromatic polynomial failed the digit check")
+    return UniPoly([f - half for f in _fields(packed, width, g.n + 1)])
 
 
 # ------------------------------------------------------------ tutte

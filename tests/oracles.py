@@ -24,7 +24,11 @@ property_relation, check_p_unique, and the recurrence helpers verify and
 extend.  check_p_unique decides that a match is not g itself with
 isomorphic_by_search, so it checks recognize's count of one without the
 package's canonical forms; verify recomputes every window of a relation
-without fit's code.
+without fit's code.  chromatic_blocks is the package's former chromatic
+sweep (partitions into independent blocks, with the retired-block count
+in each state) on the package's frontier engine, and
+elimination_order_by_recount its former greedy order, which recounts the
+frontier for every candidate at every step.
 """
 
 import functools
@@ -42,7 +46,12 @@ from graphpoly.graph import (
     enumerate_graphs,
     graphs_up_to,
 )
-from graphpoly.invariants import PolyKind, compute_poly
+from graphpoly.invariants import (
+    PolyKind,
+    _frontier_sweep,
+    _settle,
+    compute_poly,
+)
 from graphpoly.poly import UniPoly, int_determinant, interpolate
 from graphpoly.properties import GraphProperty
 from graphpoly.recognition import DEGREE_FORCED_KINDS
@@ -809,3 +818,61 @@ def extend(spec: RecurrenceSpec, count: int) -> PolySequence:
             acc = acc + spec.coefficients[t] * terms[len(terms) - q + t]
         terms.append(acc)
     return PolySequence(base_index=0, terms=tuple(terms), label="extended")
+
+
+# ---------------------------------------------------------------- frontier sweeps
+
+
+def elimination_order_by_recount(g: Graph) -> list[int]:
+    """Greedy vertex order keeping the set of half-done vertices small."""
+    n = g.n
+    unprocessed = set(range(n))
+    processed_mask = 0
+    order = []
+    for _ in range(n):
+        best_v = -1
+        best_key = None
+        for v in unprocessed:
+            new_mask = processed_mask | 1 << v
+            frontier = 0
+            for u in bits(new_mask):
+                if g.adj[u] & ~new_mask:
+                    frontier += 1
+            done_neighbors = (g.adj[v] & processed_mask).bit_count()
+            key = (frontier, -done_neighbors, v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_v = v
+        order.append(best_v)
+        unprocessed.remove(best_v)
+        processed_mask |= 1 << best_v
+    return order
+
+
+def chromatic_blocks(g: Graph) -> tuple[int, ...]:
+    """Partitions of V into j independent blocks, via the frontier sweep.
+
+    A state is the blocks restricted to the frontier, as sorted bitmasks,
+    and the number t of retired blocks.  No vertex processed later is
+    adjacent to a retired block, so v may join any of the t retired blocks
+    as well as a frontier block it has no edge into, or start a new block.
+    """
+    adj = g.adj
+
+    def expand(state, v, ahead, gone):
+        blocks, t = state
+        for i, b in enumerate(blocks):
+            if not b & adj[v]:
+                live, shut = _settle(
+                    blocks[:i] + (b | 1 << v,) + blocks[i + 1:], gone)
+                yield (live, t + shut), 1
+        live, shut = _settle(blocks + (1 << v,), gone)
+        yield (live, t + shut), 1
+        if t:
+            yield (live, t - 1 + shut), t
+
+    out = [0] * (g.n + 1)
+    sweep = _frontier_sweep(g, ((), 0), expand, "chromatic")
+    for (_, t), ways in sweep.items():
+        out[t] += ways
+    return tuple(out)

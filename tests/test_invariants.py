@@ -32,7 +32,6 @@ from graphpoly.graph import (
 from graphpoly.invariants import (
     char_poly,
     chromatic,
-    chromatic_blocks,
     compute_poly,
     dominating,
     gen_chromatic,
@@ -49,7 +48,12 @@ from graphpoly.invariants import (
     tutte,
 )
 from graphpoly.orthopoly import chebyshev_t, chebyshev_u
-from graphpoly.poly import BiPoly, UniPoly, int_determinant
+from graphpoly.poly import (
+    BiPoly,
+    UniPoly,
+    falling_to_monomial,
+    int_determinant,
+)
 from graphpoly.properties import GraphProperty, builtin, complement_property
 
 X = UniPoly.x()
@@ -474,14 +478,14 @@ class TestGenChromatic:
             gen_chromatic(path_graph(11), builtin("connected"))
 
     def test_edgeless_sweep_matches_convolution(self):
-        # a fresh predicate object is not recognised, so it takes the
-        # subset convolution instead of the chromatic sweep
+        # the former chromatic sweep's block counts against the subset
+        # convolution, which a fresh predicate object always takes
         edgeless = builtin("edgeless")
         generic = GraphProperty(
             "edgeless", lambda adj, mask: edgeless.predicate(adj, mask))
         graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
         for g in graphs + [ladder_graph(5)]:
-            assert gen_chromatic_blocks(g, edgeless) \
+            assert oracles.chromatic_blocks(g) \
                 == gen_chromatic_blocks(g, generic), g
 
     def test_edgeless_beyond_the_partition_cap(self):
@@ -528,7 +532,34 @@ class TestChromatic:
         for n in (1, 2, 3, 4, 5):
             for g in enumerate_graphs(n):
                 assert chromatic(g) == gen_chromatic(g, edgeless)
-                assert chromatic_blocks(g) == gen_chromatic_blocks(g, edgeless)
+                assert chromatic(g) == falling_to_monomial(
+                    gen_chromatic_blocks(g, edgeless))
+                assert oracles.chromatic_blocks(g) \
+                    == gen_chromatic_blocks(g, edgeless)
+
+    @pytest.mark.parametrize("spec", [None, "ladder:30", "mobius:30",
+                                      "wheel:40", "clique:14", "cyclesq:30",
+                                      "grid:6x6"])
+    def test_colour_sweep_matches_former_block_sweep(self, spec):
+        # None stands for every class up to order 7
+        graphs = graphs_up_to(7) if spec is None \
+            else [make_family(parse_family_spec(spec))]
+        for g in graphs:
+            assert chromatic(g) \
+                == falling_to_monomial(oracles.chromatic_blocks(g)), g
+
+    def test_digit_check_raises_on_a_leftover(self, monkeypatch):
+        # a final count one unit of x^(n+1) too large leaves a digit over
+        g = cycle_graph(4)
+        sweep = invariants._frontier_sweep
+
+        def padded(*args):
+            states = sweep(*args)
+            return {**states, "pad": 1 << (edge_count(g) + 2) * (g.n + 1)}
+
+        monkeypatch.setattr(invariants, "_frontier_sweep", padded)
+        with pytest.raises(ValueError, match="digit check"):
+            chromatic(g)
 
     def test_proper_coloring_counts(self):
         for n in (1, 2, 3, 4):
@@ -545,7 +576,7 @@ class TestChromatic:
                 assert p.evaluate(k) == oracles.proper_colorings(g, k)
 
     def test_acyclic_orientation_count_at_minus_one(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for g in enumerate_graphs(n):
                 assert abs(chromatic(g).evaluate(-1)) \
                     == oracles.acyclic_orientations(g)
@@ -594,7 +625,7 @@ class TestTutte:
         assert_tutte_identities(complete_graph(7))
 
     @pytest.mark.parametrize("spec", ["clique:8", "ladder:20", "wheel:12",
-                                      "grid:4x4"])
+                                      "grid:4x4", "grid:5x5", "ladder:30"])
     def test_identities_beyond_brute_force(self, spec):
         assert_tutte_identities(make_family(parse_family_spec(spec)))
 
@@ -621,6 +652,28 @@ def assert_tutte_identities(g):
     for lam in range(n + 1):
         assert p.evaluate(lam) \
             == (-1) ** (n - 1) * lam * t.evaluate(1 - lam, 0)
+
+
+def test_elimination_order_matches_recount():
+    # the incremental frontier count against recounting it per candidate
+    rng = random.Random(17)
+    graphs = list(graphs_up_to(7))
+    # the families and ranges of the chromatic and characteristic fits
+    for name, lo, hi in (("ladder", 3, 24), ("mobius", 2, 24),
+                         ("cyclesq", 5, 30), ("cycle", 3, 40),
+                         ("wheel", 3, 40)):
+        graphs += [family_member(name, k) for k in range(lo, hi + 1)]
+    graphs += [grid_graph(k, k) for k in range(2, 10)]
+    graphs += [complete_graph(n) for n in range(1, 20)]
+    for _ in range(300):
+        n = rng.randint(1, 29)
+        p = rng.random()
+        graphs.append(make_graph(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n)
+                                     if rng.random() < p]))
+    for g in graphs:
+        assert invariants._elimination_order(g) \
+            == oracles.elimination_order_by_recount(g), g
 
 
 @pytest.mark.parametrize("spec", ["ladder:8", "grid:3x4", "wheel:9",
