@@ -1,8 +1,10 @@
 """Resource caps for the exponential-time computations.
 
-Every cap is overridable at call sites and from the CLI.  The defaults keep
-desk-scale runs comfortable: graph enumeration up to 7 vertices, subset sums
-up to 2^20 terms, partition-based polynomials up to 10 vertices.
+A Caps value is the only way a cap reaches the loop it bounds: every capped
+function takes `caps: Caps = DEFAULT_CAPS`, and the CLI's --cap-n, --cap-m
+and --cap-partition flags build one.  The defaults keep desk-scale runs
+comfortable: graph enumeration up to 7 vertices, subset sums up to 2^20
+terms, partition-based polynomials up to 10 vertices.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .caps import Caps, DEFAULT_CAPS
@@ -108,8 +108,8 @@ def _cmd_ortho(args, caps: Caps) -> dict:
 
 def _cmd_fit(args, caps: Caps) -> dict:
     family, lo, hi = parse_family_range(args.family)
-    report = fit_family(args.poly, family, lo, hi, args.max_order,
-                        args.max_deg, args.holdout, caps)
+    report = fit_family(parse_poly_kind(args.poly), family, lo, hi,
+                        args.max_order, args.max_deg, args.holdout, caps)
     out = {
         "poly": args.poly,
         "family": args.family,
@@ -133,7 +133,7 @@ def _cmd_recognize(args, caps: Caps) -> dict:
     pk = parse_poly_kind(args.poly)
     p = _load_poly(args.input, pk.kind in BIVARIATE_KINDS)
     if args.family:
-        rep = family_recognize(p, pk, args.family, caps)
+        rep = family_recognize(p, pk, args.family)
         return {
             "poly": pk.label(),
             "family": args.family,
@@ -144,7 +144,7 @@ def _cmd_recognize(args, caps: Caps) -> dict:
     result = brute_recognize(p, pk, args.bound, caps)
     return {
         "poly": pk.label(),
-        "method": result.method,
+        "method": "brute",
         "bound": result.bound,
         "count": len(result.matches),
         "matches": [format_graph(g) for g in result.matches],
@@ -196,7 +196,7 @@ def _cmd_suite(args, caps: Caps) -> dict:
 
 
 def _cmd_enumerate(args, caps: Caps) -> dict:
-    classes = enumerate_graphs(args.n, cap=caps.enum_n)
+    classes = enumerate_graphs(args.n, caps)
     out = {"n": args.n, "count": len(classes)}
     if not args.count_only:
         out["graphs"] = [format_graph(g) for g in classes]
@@ -331,12 +331,7 @@ def main(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.verb,
         **body,
-        "caps": {
-            "enum_n": caps.enum_n,
-            "subset_n": caps.subset_n,
-            "subset_m": caps.subset_m,
-            "partition_n": caps.partition_n,
-        },
+        "caps": asdict(caps),
         # perfbench/expected.json and recorded tests store it; goes at schema 2
         "jobs": 1,
         "elapsed_ms": int((time.monotonic() - started) * 1000),

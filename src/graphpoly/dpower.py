@@ -53,7 +53,7 @@ from .invariants import (
     PolyKind,
     compute_poly,
     dominating,
-    gen_chromatic_value,
+    gen_chromatic,
     gen_ind,
     gen_span,
     parse_poly_kind,
@@ -169,7 +169,7 @@ def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
     """Scan all class pairs (dp) or all similar pairs (sdp) up to the bound."""
     if mode not in ("dp", "sdp"):
         raise InputError(f"mode must be dp or sdp, got {mode!r}")
-    universe = graphs_up_to(n_bound, cap=caps.enum_n)
+    universe = graphs_up_to(n_bound, caps)
     vals_p = [evaluate_handle(p, g, caps) for g in universe]
     vals_q = vals_p if q == p else [evaluate_handle(q, g, caps)
                                     for g in universe]
@@ -305,7 +305,7 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
     mode = "sdp" if kind in ("ind", "span") else "dp"
     out = {"prop": c.name, "kind": kind, "mode": mode}
     if kind == "span":
-        status = check_closed_isolated(c, bound=n_bound, cap=caps.enum_n)
+        status = check_closed_isolated(c, n_bound, caps)
         if status.state == "refuted":
             raise InputError(
                 f"property {c.name!r} is not closed under isolated "
@@ -379,10 +379,10 @@ def dom_inexpressibility_suite() -> dict:
     )
     partition_cases = (
         ("edge-graph-in-class",
-         gen_chromatic_value(k2, edge_in, 1),
+         gen_chromatic(k2, edge_in).evaluate(1),
          int(dom_k2.evaluate(1))),
         ("edge-graph-not-in-class",
-         gen_chromatic_value(k2, edge_out, 1),
+         gen_chromatic(k2, edge_out).evaluate(1),
          int(dom_k2.evaluate(1))),
     )
     branches = [

@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .caps import DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS
 from .errors import CapError, InputError
 
 # the largest order a graph file, a family or an ortho index may ask for,
@@ -525,22 +525,21 @@ def _enumerate_classes(n: int) -> tuple[Graph, ...]:
     return tuple(classes[key] for key in sorted(classes))
 
 
-def enumerate_graphs(n: int, cap: int | None = None) -> tuple[Graph, ...]:
+def enumerate_graphs(n: int, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, ...]:
     """All isomorphism classes of order n, sorted by canonical form."""
-    cap = DEFAULT_CAPS.enum_n if cap is None else cap
     if n < 1:
         raise InputError(f"enumeration needs n >= 1, got {n}")
-    if n > cap:
-        raise CapError(
-            f"enumeration capped at n <= {cap}, got {n}; raise the cap explicitly")
+    if n > caps.enum_n:
+        raise CapError(f"enumeration capped at n <= {caps.enum_n}, got {n}; "
+                       "raise the cap explicitly")
     return _enumerate_classes(n)
 
 
-def graphs_up_to(n_bound: int, cap: int | None = None) -> list[Graph]:
+def graphs_up_to(n_bound: int, caps: Caps = DEFAULT_CAPS) -> list[Graph]:
     """Classes of every order 1..n_bound, in (order, canonical form) order."""
     if n_bound < 1:
         raise InputError(f"enumeration needs a bound >= 1, got {n_bound}")
     out: list[Graph] = []
     for n in range(1, n_bound + 1):
-        out.extend(enumerate_graphs(n, cap=cap))
+        out.extend(enumerate_graphs(n, caps))
     return out

@@ -164,22 +164,21 @@ def matching_generating(g: Graph) -> UniPoly:
 # ------------------------------------------------------------ subset sums
 
 
-def gen_ind(g: Graph, c: GraphProperty, cap_n: int | None = None) -> UniPoly:
+def gen_ind(g: Graph, c: GraphProperty, caps: Caps = DEFAULT_CAPS) -> UniPoly:
     """Generating polynomial of vertex subsets whose induced graph is in C.
 
     The builtin edgeless and forest classes run a frontier sweep (below),
-    bounded by its state count and count bits, not by cap_n; every other
-    class tests all 2^n vertex masks, and only that loop is bounded by
-    cap_n.
+    bounded by its state count and count bits, not by caps; every other
+    class tests all 2^n vertex masks, and only that loop is bounded, by
+    caps.subset_n.
     """
     sweep = _IND_BY_SWEEP.get(c.predicate)
     if sweep is not None:
         counts = sweep(g)
     else:
-        cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
-        if g.n > cap_n:
+        if g.n > caps.subset_n:
             raise CapError(
-                f"vertex-subset sum capped at n <= {cap_n}, got {g.n}")
+                f"vertex-subset sum capped at n <= {caps.subset_n}, got {g.n}")
         counts = [0] * (g.n + 1)
         for mask in range(1, 1 << g.n):
             if c.holds(g, mask):
@@ -212,12 +211,13 @@ _SPAN_BY_SWEEP = {
 }
 
 
-def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
+def gen_span(g: Graph, d: GraphProperty, caps: Caps = DEFAULT_CAPS) -> UniPoly:
     """Generating polynomial of edge subsets whose spanning graph is in D.
 
     The classes in _SPAN_BY_SWEEP (builtin forest, connected, disconnected
     and match_like) run a frontier sweep, bounded by its state count and
-    count bits, not by cap_m; every other class runs the 2^m subset loop.
+    count bits, not by caps; every other class runs the 2^m subset loop,
+    bounded by caps.subset_m.
     Every spanning subgraph keeps all n vertices, so contains_null never
     enters; values of graphs of different order are comparable only when D
     is closed under adding an isolated vertex (check_closed_isolated).
@@ -225,11 +225,11 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
     sweep = _SPAN_BY_SWEEP.get(d.predicate)
     if sweep is not None:
         return UniPoly(sweep(g))
-    cap_m = DEFAULT_CAPS.subset_m if cap_m is None else cap_m
     edges = edge_list(g)
     m = len(edges)
-    if m > cap_m:
-        raise CapError(f"edge-subset sum capped at m <= {cap_m}, got {m}")
+    if m > caps.subset_m:
+        raise CapError(
+            f"edge-subset sum capped at m <= {caps.subset_m}, got {m}")
     counts = [0] * (m + 1)
     for emask in range(1 << m):
         adj = [0] * g.n
@@ -249,18 +249,16 @@ def gen_span(g: Graph, d: GraphProperty, cap_m: int | None = None) -> UniPoly:
 
 
 def gen_chromatic_blocks(g: Graph, c: GraphProperty,
-                         cap_partition: int | None = None) -> tuple[int, ...]:
+                         caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """b_j = number of partitions of V into j blocks each inducing C.
 
     A subset convolution over the valid blocks containing the lowest
     unassigned vertex, which enumerates exactly the partitions into
     C-blocks without materializing every set partition.
     """
-    cap_partition = (DEFAULT_CAPS.partition_n if cap_partition is None
-                     else cap_partition)
-    if g.n > cap_partition:
-        raise CapError(
-            f"partition polynomials capped at n <= {cap_partition}, got {g.n}")
+    if g.n > caps.partition_n:
+        raise CapError(f"partition polynomials capped at n <= "
+                       f"{caps.partition_n}, got {g.n}")
     n = g.n
     full = (1 << n) - 1
     valid_by_low: dict[int, list[int]] = {}
@@ -289,36 +287,28 @@ def gen_chromatic_blocks(g: Graph, c: GraphProperty,
 
 
 def gen_chromatic(g: Graph, c: GraphProperty,
-                  cap_partition: int | None = None) -> UniPoly:
+                  caps: Caps = DEFAULT_CAPS) -> UniPoly:
     """sum_j b_j X_(j) expanded into the monomial basis; the builtin
-    edgeless class reads chromatic, which cap_partition does not bound."""
+    edgeless class reads chromatic, which caps.partition_n does not bound."""
     if c.predicate is builtin("edgeless").predicate:
         return chromatic(g)
-    return falling_to_monomial(gen_chromatic_blocks(g, c, cap_partition))
+    return falling_to_monomial(gen_chromatic_blocks(g, c, caps))
 
 
-def gen_chromatic_value(g: Graph, c: GraphProperty, k: int) -> int:
-    """Colorings of G with k available colors, classes inducing C.
+def _sweep_schedule(g: Graph) -> tuple[list[int], list[int]]:
+    """Greedy vertex order, and per step the mask of vertices retiring there.
 
-    Empty color classes are exempt, giving the polynomial evaluation
-    sum_j b_j k_(j).
-    """
-    if k < 0:
-        raise InputError("color count must be nonnegative")
-    return gen_chromatic(g, c).evaluate(k)
-
-
-def _elimination_order(g: Graph) -> list[int]:
-    """Greedy vertex order keeping the set of half-done vertices small.
-
-    Each step takes the least (frontier size after v, -done neighbours, v):
-    v retires its neighbours in `last` and stays if it has later ones.
+    The order keeps the set of half-done vertices small: each step takes the
+    least (frontier size after v, -done neighbours, v), as v retires its
+    neighbours in `last` and stays if it has later ones.  A vertex retires
+    at the step that processes the later of itself and its last neighbour,
+    so only v and its frontier neighbours can retire there.
     """
     adj = g.adj
     left = [a.bit_count() for a in adj]    # unprocessed neighbours
     unprocessed = set(range(g.n))
     frontier = last = 0                    # last: frontier with left == 1
-    order = []
+    order, gone_at = [], []
     for _ in range(g.n):
         size = frontier.bit_count()
         v = min(unprocessed, key=lambda v: (
@@ -329,24 +319,12 @@ def _elimination_order(g: Graph) -> list[int]:
         for u in bits(adj[v]):
             left[u] -= 1
         # only v and its frontier neighbours change membership
-        for u in bits((adj[v] & frontier) | 1 << v):
+        touched = (adj[v] & frontier) | 1 << v
+        for u in bits(touched):
             bit = 1 << u
             frontier = frontier | bit if left[u] else frontier & ~bit
             last = last | bit if left[u] == 1 else last & ~bit
-    return order
-
-
-def _sweep_schedule(g: Graph) -> tuple[list[int], list[int]]:
-    """Elimination order, and per step the mask of vertices retiring there.
-
-    A vertex leaves the frontier at the step that processes the later of
-    itself and its last neighbour in the order.
-    """
-    order = _elimination_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    gone_at = [0] * g.n
-    for v in range(g.n):
-        gone_at[max([pos[v]] + [pos[u] for u in bits(g.adj[v])])] |= 1 << v
+        gone_at.append(touched & ~frontier)
     return order, gone_at
 
 
@@ -573,12 +551,11 @@ def dominating(g: Graph) -> UniPoly:
     return UniPoly(_fields(sum(states.values()), g.n + 1, g.n + 1))
 
 
-def maximal_clique_profile(g: Graph, cap_n: int | None = None) -> UniPoly:
+def maximal_clique_profile(g: Graph, caps: Caps = DEFAULT_CAPS) -> UniPoly:
     """sum_i (number of maximal cliques of size i) X^i."""
-    cap_n = DEFAULT_CAPS.subset_n if cap_n is None else cap_n
-    if g.n > cap_n:
-        raise CapError(
-            f"maximal-clique search capped at n <= {cap_n}, got {g.n}")
+    if g.n > caps.subset_n:
+        raise CapError(f"maximal-clique search capped at n <= "
+                       f"{caps.subset_n}, got {g.n}")
     counts = [0] * (g.n + 1)
 
     def expand(r_size: int, p_mask: int, x_mask: int) -> None:
@@ -618,19 +595,18 @@ BIVARIATE_KINDS = ("tutte",)
 # kind -> (takes a property, computation).  The computations look their
 # functions up when called, so a rebound module name reaches them.
 _KINDS = {
-    "char": (False, lambda g, c, cap: char_poly(g, "adjacency")),
-    "charL": (False, lambda g, c, cap: char_poly(g, "laplacian")),
-    "mu": (False, lambda g, c, cap: matching_defect(g)),
-    "mgen": (False, lambda g, c, cap: matching_generating(g)),
-    "chrom": (False, lambda g, c, cap: chromatic(g)),
-    "indep": (False, lambda g, c, cap: independence(g)),
-    "dom": (False, lambda g, c, cap: dominating(g)),
-    "maxcl": (False,
-              lambda g, c, cap: maximal_clique_profile(g, cap.subset_n)),
-    "tutte": (False, lambda g, c, cap: tutte(g)),
-    "ind": (True, lambda g, c, cap: gen_ind(g, c, cap.subset_n)),
-    "span": (True, lambda g, c, cap: gen_span(g, c, cap.subset_m)),
-    "genchrom": (True, lambda g, c, cap: gen_chromatic(g, c, cap.partition_n)),
+    "char": (False, lambda g, c, caps: char_poly(g, "adjacency")),
+    "charL": (False, lambda g, c, caps: char_poly(g, "laplacian")),
+    "mu": (False, lambda g, c, caps: matching_defect(g)),
+    "mgen": (False, lambda g, c, caps: matching_generating(g)),
+    "chrom": (False, lambda g, c, caps: chromatic(g)),
+    "indep": (False, lambda g, c, caps: independence(g)),
+    "dom": (False, lambda g, c, caps: dominating(g)),
+    "maxcl": (False, lambda g, c, caps: maximal_clique_profile(g, caps)),
+    "tutte": (False, lambda g, c, caps: tutte(g)),
+    "ind": (True, lambda g, c, caps: gen_ind(g, c, caps)),
+    "span": (True, lambda g, c, caps: gen_span(g, c, caps)),
+    "genchrom": (True, lambda g, c, caps: gen_chromatic(g, c, caps)),
 }
 PROPERTY_KINDS = tuple(kind for kind, (takes, _) in _KINDS.items() if takes)
 

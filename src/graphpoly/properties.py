@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .caps import DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
 from .graph import (
     Graph,
@@ -158,17 +158,16 @@ def parse_property(text: str) -> GraphProperty:
 
 
 def check_closed_isolated(c: GraphProperty, bound: int,
-                          cap: int | None = None) -> ClosureStatus:
+                          caps: Caps = DEFAULT_CAPS) -> ClosureStatus:
     """Is the class closed under adding one isolated vertex, up to bound?
 
     Checks every class member of order < bound; a witness is a graph in
     the class whose isolated extension leaves it.
     """
-    cap = DEFAULT_CAPS.enum_n if cap is None else cap
     if bound < 2:
         raise InputError("closure check needs bound >= 2")
     for n in range(1, bound):
-        for g in enumerate_graphs(n, cap=cap):
+        for g in enumerate_graphs(n, caps):
             if c.holds(g) and not c.holds(add_isolated_vertex(g)):
                 return ClosureStatus("refuted", bound, g)
     return ClosureStatus("verified", bound, None)

@@ -41,10 +41,10 @@ from .graph import (
     path_graph,
 )
 from .invariants import (
+    PolyKind,
     compute_poly,
     matching_defect,
     maximal_clique_profile,
-    parse_poly_kind,
 )
 from .orthopoly import chebyshev_t, chebyshev_u, hermite_he, laguerre
 from .poly import UniPoly
@@ -56,15 +56,12 @@ class RecognitionResult:
     """All universe members realizing the query polynomial."""
 
     matches: tuple[Graph, ...]
-    method: str
     bound: int
 
 
 @dataclass(frozen=True)
 class FamilyRecognition:
     index: int | None
-    family: str
-    kind: str
     uniqueness_assumed: bool = True
 
     @property
@@ -97,7 +94,7 @@ def _scan_orders(pk, forced: int | None, n_bound: int | None) -> range:
     return range(1, n_bound + 1)
 
 
-def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
+def brute_recognize(p: UniPoly, pk: PolyKind, n_bound: int | None = None,
                     caps: Caps = DEFAULT_CAPS) -> RecognitionResult:
     """Exhaustive scan for graphs whose polynomial equals p.
 
@@ -108,20 +105,21 @@ def brute_recognize(p: UniPoly, poly_kind, n_bound: int | None = None,
     """
     if n_bound is not None and n_bound < 1:
         raise InputError(f"recognition needs a bound >= 1, got {n_bound}")
-    pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     # only degree-forced kinds read the query's degree; a tutte query has none
     forced = _query_order(p) if pk.kind in DEGREE_FORCED_KINDS else None
     matches = tuple(g for n in _scan_orders(pk, forced, n_bound)
-                    for g in enumerate_graphs(n, cap=caps.enum_n)
+                    for g in enumerate_graphs(n, caps)
                     if compute_poly(pk, g, caps) == p)
     bound = n_bound if n_bound is not None else forced or 0
-    return RecognitionResult(matches=matches, method="brute", bound=bound)
+    return RecognitionResult(matches=matches, bound=bound)
 
 
-def family_recognize(p: UniPoly, poly_kind, family: str,
-                     caps: Caps = DEFAULT_CAPS) -> FamilyRecognition:
-    """Check the one family member whose order matches the query degree."""
-    pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
+def family_recognize(p: UniPoly, pk: PolyKind,
+                     family: str) -> FamilyRecognition:
+    """Check the one family member whose order matches the query degree.
+
+    The degree-forced kinds read no cap, so none is taken.
+    """
     if pk.kind not in DEGREE_FORCED_KINDS:
         raise InputError(
             f"kind {pk.label()!r} does not force the order from the degree")
@@ -130,10 +128,8 @@ def family_recognize(p: UniPoly, poly_kind, family: str,
     idx = fam.least
     while (n := fam.order(*(idx,) * fam.arity)) < order:
         idx += 1
-    found = n == order and compute_poly(
-        pk, family_member(family, idx), caps) == p
-    return FamilyRecognition(index=idx if found else None, family=family,
-                             kind=pk.label())
+    found = n == order and compute_poly(pk, family_member(family, idx)) == p
+    return FamilyRecognition(index=idx if found else None)
 
 
 # ------------------------------------------------------------ identity suite
@@ -264,6 +260,6 @@ def maxcl_trivial_recognize(s: UniPoly,
     for size, count in enumerate(coeffs):
         parts.extend(complete_graph(size) for _ in range(count))
     witness = disjoint_union(parts)
-    if maximal_clique_profile(witness, caps.subset_n) != s:
+    if maximal_clique_profile(witness, caps) != s:
         raise ValueError("constructed witness failed re-verification")
     return witness

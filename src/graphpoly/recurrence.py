@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
 from .graph import family_member
-from .invariants import BIVARIATE_KINDS, PolyKind, compute_poly, parse_poly_kind
+from .invariants import BIVARIATE_KINDS, PolyKind, compute_poly
 from .poly import UniPoly, solve_linear_exact
 
 
@@ -165,8 +165,6 @@ class FitReport:
 
     sequence: PolySequence
     spec: RecurrenceSpec | None
-    max_order: int
-    max_deg: int
 
     @property
     def found(self) -> bool:
@@ -200,12 +198,9 @@ def family_sequence(pk: PolyKind, family: str, n_from: int, n_to: int,
                         label=f"{pk.label()}|{family}")
 
 
-def fit_family(poly_kind, family: str, n_from: int, n_to: int,
+def fit_family(pk: PolyKind, family: str, n_from: int, n_to: int,
                max_order: int, max_deg: int, holdout: int = 3,
                caps: Caps = DEFAULT_CAPS) -> FitReport:
     """Compute the family sequence, then fit it; caps propagate unchanged."""
-    pk = parse_poly_kind(poly_kind) if isinstance(poly_kind, str) else poly_kind
     seq = family_sequence(pk, family, n_from, n_to, caps)
-    spec = fit(seq, max_order, max_deg, holdout)
-    return FitReport(sequence=seq, spec=spec,
-                     max_order=max_order, max_deg=max_deg)
+    return FitReport(sequence=seq, spec=fit(seq, max_order, max_deg, holdout))

@@ -739,7 +739,7 @@ def property_relation(c1: GraphProperty, c2: GraphProperty, n_bound: int,
     the agreement regions (both, neither) stay empty.
     """
     in_both = in_first = in_second = in_neither = None
-    for g in graphs_up_to(n_bound, cap=caps.enum_n):
+    for g in graphs_up_to(n_bound, caps):
         a, b = c1.holds(g), c2.holds(g)
         if a and b and in_both is None:
             in_both = g
@@ -847,6 +847,19 @@ def elimination_order_by_recount(g: Graph) -> list[int]:
         unprocessed.remove(best_v)
         processed_mask |= 1 << best_v
     return order
+
+
+def retire_masks(g: Graph, order: list[int]) -> list[int]:
+    """Per step of the order, the mask of vertices retiring there.
+
+    A vertex leaves the frontier at the step that processes the later of
+    itself and its last neighbour in the order.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    gone_at = [0] * g.n
+    for v in range(g.n):
+        gone_at[max([pos[v]] + [pos[u] for u in bits(g.adj[v])])] |= 1 << v
+    return gone_at
 
 
 def chromatic_blocks(g: Graph) -> tuple[int, ...]:

@@ -430,6 +430,25 @@ class TestDeterminismAndErrors:
                               "--graph", "family:path:4", "--cap-n", "10")
         assert code2 == 0
         assert rep2["result"] == "0 4 3 2 1"
+        assert rep2["caps"]["enum_n"] == rep2["caps"]["subset_n"] == 10
+
+    @pytest.mark.parametrize("poly, graph, flag, size, message", [
+        # K_6 has 15 edges, and no sweep counts span:cycle:3
+        ("span:cycle:3", "family:clique:6", "--cap-m", 15,
+         "edge-subset sum capped at m <= 14, got 15"),
+        ("genchrom:connected", "family:path:6", "--cap-partition", 6,
+         "partition polynomials capped at n <= 5, got 6"),
+    ], ids=["cap-m", "cap-partition"])
+    def test_edge_and_partition_caps(self, capsys, poly, graph, flag, size,
+                                     message):
+        argv = ["compute", "--poly", poly, "--graph", graph, flag]
+        assert main(argv + [str(size - 1)]) == 3
+        assert message in capsys.readouterr().err
+        code, rep = run_cli(capsys, *argv, str(size))
+        assert code == 0
+        field = {"--cap-m": "subset_m", "--cap-partition": "partition_n"}
+        assert rep["caps"] == {"enum_n": 7, "subset_n": 20, "subset_m": 20,
+                               "partition_n": 10, field[flag]: size}
 
     def test_vertex_sweeps_ignore_the_vertex_cap(self, capsys):
         for kind, result in (("indep", "1 4 3"), ("dom", "0 0 4 4 1"),

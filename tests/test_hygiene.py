@@ -1,6 +1,7 @@
 """Source hygiene: every module uses each name it imports, every
-top-level library name has a caller in the library, and every function
-the benchmark tracer wraps by name exists."""
+top-level library name has a caller in the library, every function the
+benchmark tracer wraps by name exists, and no function takes a cap as a
+bare int."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,17 @@ def test_every_imported_name_is_used():
     unused = [entry for path in library_modules()
               for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_caps_reach_their_loops_only_as_a_caps_value():
+    banned = {"cap", "cap_n", "cap_m", "cap_partition"}
+    found = [f"{path.stem}:{node.lineno} {arg.arg}"
+             for path in library_modules()
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.Lambda))
+             for arg in node.args.args + node.args.kwonlyargs
+             if arg.arg in banned]
+    assert found == []
 
 
 def spanned_names(tree):

@@ -36,7 +36,6 @@ from graphpoly.invariants import (
     dominating,
     gen_chromatic,
     gen_chromatic_blocks,
-    gen_chromatic_value,
     gen_ind,
     gen_span,
     independence,
@@ -54,7 +53,12 @@ from graphpoly.poly import (
     falling_to_monomial,
     int_determinant,
 )
-from graphpoly.properties import GraphProperty, builtin, complement_property
+from graphpoly.properties import (
+    GraphProperty,
+    builtin,
+    check_closed_isolated,
+    complement_property,
+)
 
 X = UniPoly.x()
 
@@ -279,12 +283,6 @@ class TestGenInd:
         for g in enumerate_graphs(4):
             assert independence(g) == gen_ind(g, generic)
 
-    def test_vertex_cap(self):
-        # the cap bounds the 2^n loop of the classes that are not swept
-        caps = Caps(subset_n=3)
-        with pytest.raises(CapError, match="vertex-subset sum capped"):
-            gen_ind(path_graph(4), builtin("connected"), cap_n=caps.subset_n)
-
     def test_sweep_classes_match_subset_scan(self):
         for name in ("edgeless", "forest"):
             c = builtin(name)
@@ -397,12 +395,6 @@ class TestGenSpan:
                         + gen_span(g, complement_property(d))
                     assert total == one_plus_x_power(edge_count(g))
 
-    def test_edge_cap(self):
-        # K_7 has 21 edges; the classes no sweep counts run the 2^m loop
-        with pytest.raises(CapError):
-            gen_span(complete_graph(7), builtin("cycle_plus_isolated:3"),
-                     cap_m=20)
-
     def test_match_like_beyond_the_edge_cap(self):
         # ladder:12 has 36 edges, far over the cap of the 2^m loop
         g = ladder_graph(12)
@@ -468,7 +460,7 @@ class TestGenChromatic:
         conn = builtin("connected")
         for i in (2, 3, 4):
             g = complete_graph(i)
-            assert gen_chromatic_value(g, conn, 2) == 2 ** i
+            assert gen_chromatic(g, conn).evaluate(2) == 2 ** i
             # with both classes nonempty: b_2 two-block partitions, 2! ways
             blocks = gen_chromatic_blocks(g, conn)
             assert blocks[2] * oracles.factorial(2) == 2 ** i - 2
@@ -655,7 +647,8 @@ def assert_tutte_identities(g):
 
 
 def test_elimination_order_matches_recount():
-    # the incremental frontier count against recounting it per candidate
+    # the incremental frontier count against recounting it per candidate,
+    # and the retire masks against each vertex's last neighbour in the order
     rng = random.Random(17)
     graphs = list(graphs_up_to(7))
     # the families and ranges of the chromatic and characteristic fits
@@ -672,8 +665,39 @@ def test_elimination_order_matches_recount():
                                      for v in range(u + 1, n)
                                      if rng.random() < p]))
     for g in graphs:
-        assert invariants._elimination_order(g) \
-            == oracles.elimination_order_by_recount(g), g
+        order = oracles.elimination_order_by_recount(g)
+        assert invariants._sweep_schedule(g) \
+            == (order, oracles.retire_masks(g, order)), g
+
+
+# each capped function: a run under a Caps value, the field that bounds it,
+# and the input's size on that field; the 2^n and 2^m loops run only for
+# the classes that no sweep counts, and match_like is closed under isolated
+# vertices, so its check enumerates up to order bound - 1
+CAPPED = {
+    "gen_ind": (lambda caps: gen_ind(
+        path_graph(4), builtin("connected"), caps), "subset_n", 4),
+    "gen_span": (lambda caps: gen_span(
+        complete_graph(4), builtin("cycle_plus_isolated:3"), caps),
+        "subset_m", 6),
+    "gen_chromatic": (lambda caps: gen_chromatic(
+        path_graph(4), builtin("connected"), caps), "partition_n", 4),
+    "maximal_clique_profile": (lambda caps: maximal_clique_profile(
+        path_graph(4), caps), "subset_n", 4),
+    "enumerate_graphs": (lambda caps: enumerate_graphs(4, caps), "enum_n", 4),
+    "graphs_up_to": (lambda caps: graphs_up_to(4, caps), "enum_n", 4),
+    "check_closed_isolated": (lambda caps: check_closed_isolated(
+        builtin("match_like"), 5, caps), "enum_n", 4),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_caps_bound_each_capped_function(name):
+    run, field, size = CAPPED[name]
+    with pytest.raises(CapError, match=f"capped at [nm] <= {size - 1}, "
+                                       f"got {size}"):
+        run(Caps(**{field: size - 1}))
+    run(Caps(**{field: size}))
 
 
 @pytest.mark.parametrize("spec", ["ladder:8", "grid:3x4", "wheel:9",
