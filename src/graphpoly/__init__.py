@@ -63,12 +63,7 @@ from .recognition import (
     identity_suite,
     maxcl_trivial_recognize,
 )
-from .recurrence import (
-    PolySequence,
-    RecurrenceSpec,
-    fit,
-    fit_family,
-)
+from .recurrence import RecurrenceSpec, family_sequence, fit
 from .dpower import (
     compare,
     dom_inexpressibility_suite,

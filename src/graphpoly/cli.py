@@ -48,7 +48,12 @@ from .recognition import (
     identity_suite,
     maxcl_trivial_recognize,
 )
-from .recurrence import fit_family, parse_family_range
+from .recurrence import (
+    check_fit_bounds,
+    family_sequence,
+    fit,
+    parse_family_range,
+)
 
 SCHEMA_VERSION = 1
 
@@ -108,24 +113,26 @@ def _cmd_ortho(args, caps: Caps) -> dict:
 
 def _cmd_fit(args, caps: Caps) -> dict:
     family, lo, hi = parse_family_range(args.family)
-    report = fit_family(parse_poly_kind(args.poly), family, lo, hi,
-                        args.max_order, args.max_deg, args.holdout, caps)
+    pk = parse_poly_kind(args.poly)
+    # the bounds are checked on the range, before any term is computed
+    check_fit_bounds(hi - lo + 1, args.max_order, args.max_deg, args.holdout)
+    terms = family_sequence(pk, family, lo, hi, caps)
+    spec = fit(terms, args.max_order, args.max_deg, args.holdout)
     out = {
-        "poly": args.poly,
+        "poly": pk.label(),
         "family": args.family,
         "max_order": args.max_order,
         "max_deg": args.max_deg,
         "holdout": args.holdout,
-        "found": report.found,
-        "terms": len(report.sequence.terms),
+        "found": spec is not None,
+        "terms": len(terms),
     }
-    if report.spec is not None:
-        spec = report.spec
+    if spec is not None:
         out["q"] = spec.order
         out["d"] = spec.degree_bound
         out["coeffs"] = [f.text() for f in spec.coefficients]
         out["seeds"] = [s.text() for s in spec.seeds]
-        out["verified_terms"] = len(report.sequence.terms)
+        out["verified_terms"] = len(terms)
     return out
 
 
@@ -133,13 +140,13 @@ def _cmd_recognize(args, caps: Caps) -> dict:
     pk = parse_poly_kind(args.poly)
     p = _load_poly(args.input, pk.kind in BIVARIATE_KINDS)
     if args.family:
-        rep = family_recognize(p, pk, args.family)
+        index = family_recognize(p, pk, args.family)
         return {
             "poly": pk.label(),
             "family": args.family,
-            "found": rep.found,
-            "index": rep.index,
-            "uniqueness_assumed": rep.uniqueness_assumed,
+            "found": index is not None,
+            "index": index,
+            "uniqueness_assumed": True,
         }
     result = brute_recognize(p, pk, args.bound, caps)
     return {
@@ -165,7 +172,8 @@ def _cmd_maxcl_build(args, caps: Caps) -> dict:
 def _cmd_compare(args, caps: Caps) -> dict:
     p = parse_handle(args.p)
     q = parse_handle(args.q)
-    return comparison_json(compare(p, q, args.mode, args.bound, caps))
+    witnesses = compare(p, q, args.mode, args.bound, caps)
+    return comparison_json(p, q, args.mode, args.bound, witnesses)
 
 
 def _require(args, names: list[str], suite: str) -> None:

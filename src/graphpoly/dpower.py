@@ -25,14 +25,13 @@ dom_inexpressibility_suite runs the two-vertex case analyses showing the
 dominating-set polynomial is no instance of the subset, spanning or
 partition generating polynomials.  The suites and
 sdp_equiv_complement_check return their reports as the JSON dicts the CLI
-prints, polynomials and witnesses as text; compare returns a typed
-ComparisonReport, whose witness graphs callers keep using, and
-comparison_json renders it.
+prints, polynomials and witnesses as text.  compare returns only what it
+found, the witness pair of each direction or None, as graphs callers keep
+using; comparison_json renders it with the handles, mode and bound the
+caller passed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
@@ -86,39 +85,27 @@ def evaluate_handle(handle: PolyKind, g: Graph, caps: Caps = DEFAULT_CAPS):
 # ------------------------------------------------------------ comparison
 
 
-@dataclass(frozen=True)
-class DirectionVerdict:
-    refuted: bool
-    witness: tuple[Graph, Graph] | None
+Witness = tuple[Graph, Graph]
+# the witness refuting p <= q, then q <= p; None where there is none
+Witnesses = tuple[Witness | None, Witness | None]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    p_label: str
-    q_label: str
-    mode: str
-    bound: int
-    p_le_q: DirectionVerdict
-    q_le_p: DirectionVerdict
+def _verdict_json(witness: Witness | None) -> dict:
+    if witness is None:
+        return {"refuted": False}
+    return {"refuted": True, "witness": [format_graph(g) for g in witness]}
 
 
-def _verdict_json(v: DirectionVerdict) -> dict:
-    out = {"refuted": v.refuted}
-    if v.witness is not None:
-        out["witness"] = [format_graph(v.witness[0]),
-                          format_graph(v.witness[1])]
-    return out
-
-
-def comparison_json(rep: ComparisonReport) -> dict:
-    """The report as JSON-ready data, witness graphs as format_graph text."""
+def comparison_json(p: PolyKind, q: PolyKind, mode: str, bound: int,
+                    witnesses: Witnesses) -> dict:
+    """compare's result as JSON-ready data, witnesses as format_graph text."""
     return {
-        "p": rep.p_label,
-        "q": rep.q_label,
-        "mode": rep.mode,
-        "bound": rep.bound,
-        "p_le_q": _verdict_json(rep.p_le_q),
-        "q_le_p": _verdict_json(rep.q_le_p),
+        "p": p.label(),
+        "q": q.label(),
+        "mode": mode,
+        "bound": bound,
+        "p_le_q": _verdict_json(witnesses[0]),
+        "q_le_p": _verdict_json(witnesses[1]),
     }
 
 
@@ -140,16 +127,15 @@ def _first_refuting_pair(fine_values, group_keys):
     return None
 
 
-def _direction(universe, vals_p, vals_q, sigs, mode) -> DirectionVerdict:
+def _direction(universe, vals_p, vals_q, sigs, mode) -> Witness | None:
     if mode == "dp":
         keys = vals_q
     else:
         keys = [(sigs[i], vals_q[i]) for i in range(len(universe))]
     pair = _first_refuting_pair(vals_p, keys)
     if pair is None:
-        return DirectionVerdict(refuted=False, witness=None)
-    return DirectionVerdict(refuted=True,
-                            witness=(universe[pair[0]], universe[pair[1]]))
+        return None
+    return universe[pair[0]], universe[pair[1]]
 
 
 def _reverify(witness, p, q, mode, caps) -> None:
@@ -165,8 +151,12 @@ def _reverify(witness, p, q, mode, caps) -> None:
 
 
 def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
-            caps: Caps = DEFAULT_CAPS) -> ComparisonReport:
-    """Scan all class pairs (dp) or all similar pairs (sdp) up to the bound."""
+            caps: Caps = DEFAULT_CAPS) -> Witnesses:
+    """Scan all class pairs (dp) or all similar pairs (sdp) up to the bound.
+
+    Returns the re-verified lex-first witness pair refuting p <= q, then
+    the one refuting q <= p; None where the scan found no refutation.
+    """
     if mode not in ("dp", "sdp"):
         raise InputError(f"mode must be dp or sdp, got {mode!r}")
     universe = graphs_up_to(n_bound, caps)
@@ -176,12 +166,11 @@ def compare(p: PolyKind, q: PolyKind, mode: str, n_bound: int,
     sigs = [signature(g) for g in universe]
     forward = _direction(universe, vals_p, vals_q, sigs, mode)
     backward = _direction(universe, vals_q, vals_p, sigs, mode)
-    if forward.witness is not None:
-        _reverify(forward.witness, p, q, mode, caps)
-    if backward.witness is not None:
-        _reverify(backward.witness, q, p, mode, caps)
-    return ComparisonReport(p_label=p.label(), q_label=q.label(), mode=mode,
-                            bound=n_bound, p_le_q=forward, q_le_p=backward)
+    if forward is not None:
+        _reverify(forward, p, q, mode, caps)
+    if backward is not None:
+        _reverify(backward, q, p, mode, caps)
+    return forward, backward
 
 
 # ------------------------------------------------------------ gadget suite
@@ -305,19 +294,18 @@ def sdp_equiv_complement_check(c: GraphProperty, kind: str, n_bound: int,
     mode = "sdp" if kind in ("ind", "span") else "dp"
     out = {"prop": c.name, "kind": kind, "mode": mode}
     if kind == "span":
-        status = check_closed_isolated(c, n_bound, caps)
-        if status.state == "refuted":
+        witness = check_closed_isolated(c, n_bound, caps)
+        if witness is not None:
             raise InputError(
                 f"property {c.name!r} is not closed under isolated "
-                f"vertices (witness order {status.witness.n})")
+                f"vertices (witness order {witness.n})")
         out["closure_note"] = f"closure under isolated vertices verified " \
-                              f"up to order {status.bound}"
+                              f"up to order {n_bound}"
     p = PolyKind(kind, c)
     q = PolyKind(kind, complement_property(c))
-    report = compare(p, q, mode, n_bound, caps)
-    out["equivalent_up_to_bound"] = not (report.p_le_q.refuted
-                                         or report.q_le_p.refuted)
-    out["report"] = comparison_json(report)
+    witnesses = compare(p, q, mode, n_bound, caps)
+    out["equivalent_up_to_bound"] = witnesses == (None, None)
+    out["report"] = comparison_json(p, q, mode, n_bound, witnesses)
     return out
 
 

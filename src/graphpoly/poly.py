@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic over arbitrary-precision integers and rationals.
 
 This module is the arithmetic layer for the whole package: dense univariate
-polynomials over Q, bivariate coefficient grids over Z (evaluation and text
+polynomials over Q, bivariate coefficient grids over Z (text and comparison
 only), the falling-factorial basis, and exact linear algebra (a
 fraction-free Bareiss solver, integer determinants, Newton interpolation,
 and integer characteristic polynomials by Hessenberg reduction modulo
@@ -242,7 +242,7 @@ class UniPoly:
 class BiPoly:
     """Bivariate polynomial over Z, a rectangular (X-degree, Y-degree) grid.
 
-    Built from a grid, it is only evaluated, printed, parsed and compared.
+    Built from a grid, it is only printed, parsed and compared.
     """
 
     __slots__ = ("grid",)
@@ -260,17 +260,6 @@ class BiPoly:
         while rows and not any(rows[-1]):
             rows.pop()
         self.grid: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
-
-    def evaluate(self, x, y) -> int | Fraction:
-        """Exact value at (x, y), in normal form; a float raises TypeError."""
-        x, y = _exact(x), _exact(y)
-        acc = 0
-        for row in reversed(self.grid):
-            racc = 0
-            for c in reversed(row):
-                racc = racc * y + c
-            acc = acc * x + racc
-        return acc if type(acc) is int else _exact(acc)
 
     def text(self) -> str:
         if not self.grid:

@@ -5,8 +5,8 @@ polynomial layer needs, contains_null: whether the property holds for the
 null graph (no vertices).  The null graph is not a Graph value; the flag
 decides whether the empty vertex subset contributes X^0 to subset sums.
 Whether the class is closed under adding an isolated vertex is not a
-field but a check: check_closed_isolated verifies it exhaustively up to a
-bound or produces a witness.
+field but a check: check_closed_isolated returns a witness, or None once
+it has verified closure exhaustively up to the caller's bound.
 
 A predicate takes (adj, mask): the adjacency bitmasks of a whole graph and
 a nonzero vertex bitmask, and decides the graph that mask induces, so a
@@ -38,13 +38,6 @@ from .graph import (
 
 # decides the subgraph induced by a nonzero vertex mask of a whole graph
 Predicate = Callable[[tuple[int, ...], int], bool]
-
-
-@dataclass(frozen=True)
-class ClosureStatus:
-    state: str                         # verified | refuted
-    bound: int
-    witness: Graph | None = None
 
 
 @dataclass(frozen=True)
@@ -158,16 +151,16 @@ def parse_property(text: str) -> GraphProperty:
 
 
 def check_closed_isolated(c: GraphProperty, bound: int,
-                          caps: Caps = DEFAULT_CAPS) -> ClosureStatus:
-    """Is the class closed under adding one isolated vertex, up to bound?
+                          caps: Caps = DEFAULT_CAPS) -> Graph | None:
+    """A class member whose isolated extension leaves the class, or None.
 
-    Checks every class member of order < bound; a witness is a graph in
-    the class whose isolated extension leaves it.
+    Checks every class member of order < bound, so None means the class
+    is closed under adding one isolated vertex up to the bound.
     """
     if bound < 2:
         raise InputError("closure check needs bound >= 2")
     for n in range(1, bound):
         for g in enumerate_graphs(n, caps):
             if c.holds(g) and not c.holds(add_isolated_vertex(g)):
-                return ClosureStatus("refuted", bound, g)
-    return ClosureStatus("verified", bound, None)
+                return g
+    return None

@@ -12,8 +12,9 @@ Three entry points:
   whose order is the query's degree (two-index families run along their
   diagonal) and checks that member.  A hit means "equal polynomial
   value"; reading it as "isomorphic to the family member" additionally
-  assumes the family is recognizable from this polynomial, and the
-  result carries that assumption as a flag rather than a claim.
+  assumes the family is recognizable from this polynomial, which the
+  CLI reports as a flag rather than a claim.  It returns the member's
+  index, or None.
 * identity_suite and chromatic_screen package the matching-polynomial
   identities against the classical orthogonal families and the cheap
   necessary conditions for chromatic values.  A failed screen check
@@ -57,16 +58,6 @@ class RecognitionResult:
 
     matches: tuple[Graph, ...]
     bound: int
-
-
-@dataclass(frozen=True)
-class FamilyRecognition:
-    index: int | None
-    uniqueness_assumed: bool = True
-
-    @property
-    def found(self) -> bool:
-        return self.index is not None
 
 
 def _query_order(p: UniPoly) -> int | None:
@@ -114,11 +105,11 @@ def brute_recognize(p: UniPoly, pk: PolyKind, n_bound: int | None = None,
     return RecognitionResult(matches=matches, bound=bound)
 
 
-def family_recognize(p: UniPoly, pk: PolyKind,
-                     family: str) -> FamilyRecognition:
-    """Check the one family member whose order matches the query degree.
+def family_recognize(p: UniPoly, pk: PolyKind, family: str) -> int | None:
+    """Index of the family member of the query's order if its value is p.
 
-    The degree-forced kinds read no cap, so none is taken.
+    None when there is no such member or its value differs.  The
+    degree-forced kinds read no cap, so none is taken.
     """
     if pk.kind not in DEGREE_FORCED_KINDS:
         raise InputError(
@@ -128,8 +119,9 @@ def family_recognize(p: UniPoly, pk: PolyKind,
     idx = fam.least
     while (n := fam.order(*(idx,) * fam.arity)) < order:
         idx += 1
-    found = n == order and compute_poly(pk, family_member(family, idx)) == p
-    return FamilyRecognition(index=idx if found else None)
+    if n == order and compute_poly(pk, family_member(family, idx)) == p:
+        return idx
+    return None
 
 
 # ------------------------------------------------------------ identity suite

@@ -13,6 +13,10 @@ solutions that merely interpolate the training rows.  Everything is exact:
 integral sequences give integer rows, and only the solved coefficients can
 be rational, so a returned spec is a proof that the relation holds on the
 given terms, never an approximation.
+
+family_sequence computes the terms of one kind along a graph family, and
+fit takes any tuple of terms.  check_fit_bounds checks fit's bounds against
+a term count, so a caller can check a range before computing any term.
 """
 
 from __future__ import annotations
@@ -24,19 +28,6 @@ from .errors import InputError
 from .graph import family_member
 from .invariants import BIVARIATE_KINDS, PolyKind, compute_poly
 from .poly import UniPoly, solve_linear_exact
-
-
-@dataclass(frozen=True)
-class PolySequence:
-    """Consecutive polynomial values of some provenance, base index first."""
-
-    base_index: int
-    terms: tuple[UniPoly, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.terms:
-            raise InputError("a polynomial sequence needs at least one term")
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,23 @@ def _solve_cell(terms, q: int, d: int, holdout: int):
             return None
 
 
-def fit(seq: PolySequence, max_order: int, max_deg: int,
+def check_fit_bounds(count: int, max_order: int, max_deg: int,
+                     holdout: int) -> None:
+    """Raise InputError unless count terms can be fitted at these bounds."""
+    if max_order < 1:
+        raise InputError("max_order must be at least 1")
+    if max_deg < 0:
+        raise InputError("max_deg must be nonnegative")
+    if holdout < 1:
+        raise InputError("holdout must be at least 1")
+    need = max_order + max_deg + holdout + 1
+    if count < need:
+        raise InputError(
+            f"fitting at bounds ({max_order}, {max_deg}) with holdout "
+            f"{holdout} needs at least {need} terms, got {count}")
+
+
+def fit(terms: tuple[UniPoly, ...], max_order: int, max_deg: int,
         holdout: int = 3) -> RecurrenceSpec | None:
     """Minimal (order, degree) recurrence within the bounds, or None.
 
@@ -135,18 +142,7 @@ def fit(seq: PolySequence, max_order: int, max_deg: int,
     the linear system; a spec is only returned after it reproduces every
     term of the sequence, held-out ones included.
     """
-    if max_order < 1:
-        raise InputError("max_order must be at least 1")
-    if max_deg < 0:
-        raise InputError("max_deg must be nonnegative")
-    if holdout < 1:
-        raise InputError("holdout must be at least 1")
-    need = max_order + max_deg + holdout + 1
-    if len(seq.terms) < need:
-        raise InputError(
-            f"fitting at bounds ({max_order}, {max_deg}) with holdout "
-            f"{holdout} needs at least {need} terms, got {len(seq.terms)}")
-    terms = seq.terms
+    check_fit_bounds(len(terms), max_order, max_deg, holdout)
     for q in range(1, max_order + 1):
         for d in range(max_deg + 1):
             fs = _solve_cell(terms, q, d, holdout)
@@ -157,18 +153,6 @@ def fit(seq: PolySequence, max_order: int, max_deg: int,
 
 
 # ------------------------------------------------------------ family plumbing
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Outcome of fitting a graph-family polynomial sequence."""
-
-    sequence: PolySequence
-    spec: RecurrenceSpec | None
-
-    @property
-    def found(self) -> bool:
-        return self.spec is not None
 
 
 def parse_family_range(text: str) -> tuple[str, int, int]:
@@ -188,19 +172,9 @@ def parse_family_range(text: str) -> tuple[str, int, int]:
 
 
 def family_sequence(pk: PolyKind, family: str, n_from: int, n_to: int,
-                    caps: Caps = DEFAULT_CAPS) -> PolySequence:
+                    caps: Caps = DEFAULT_CAPS) -> tuple[UniPoly, ...]:
     """Polynomial values of one kind along a family, by member index."""
     if pk.kind in BIVARIATE_KINDS:
         raise InputError("recurrence fitting works on univariate kinds only")
-    terms = tuple(compute_poly(pk, family_member(family, i), caps)
-                  for i in range(n_from, n_to + 1))
-    return PolySequence(base_index=n_from, terms=terms,
-                        label=f"{pk.label()}|{family}")
-
-
-def fit_family(pk: PolyKind, family: str, n_from: int, n_to: int,
-               max_order: int, max_deg: int, holdout: int = 3,
-               caps: Caps = DEFAULT_CAPS) -> FitReport:
-    """Compute the family sequence, then fit it; caps propagate unchanged."""
-    seq = family_sequence(pk, family, n_from, n_to, caps)
-    return FitReport(sequence=seq, spec=fit(seq, max_order, max_deg, holdout))
+    return tuple(compute_poly(pk, family_member(family, i), caps)
+                 for i in range(n_from, n_to + 1))

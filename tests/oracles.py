@@ -14,7 +14,8 @@ the package's former characteristic polynomial: n + 1 Bareiss
 determinants and Newton interpolation from graphpoly.poly, which its
 modular Hessenberg path does not use.  matchings_by_memo is the
 package's former matching count, a memo over vertex masks that shares
-nothing with the frontier sweep replacing it.  relabel,
+nothing with the frontier sweep replacing it, and evaluate_bivariate
+the package's former BiPoly.evaluate.  relabel,
 induced_subgraph, complement_graph and degrees are graph helpers that
 only the tests use.
 
@@ -52,10 +53,10 @@ from graphpoly.invariants import (
     _settle,
     compute_poly,
 )
-from graphpoly.poly import UniPoly, int_determinant, interpolate
+from graphpoly.poly import BiPoly, UniPoly, int_determinant, interpolate
 from graphpoly.properties import GraphProperty
 from graphpoly.recognition import DEGREE_FORCED_KINDS
-from graphpoly.recurrence import PolySequence, RecurrenceSpec
+from graphpoly.recurrence import RecurrenceSpec
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -653,6 +654,25 @@ def tutte_rank_sum(g: Graph):
     return {k: c for k, c in out.items() if c != 0}
 
 
+
+def evaluate_bivariate(p: BiPoly, x, y):
+    """Exact p(x, y) by Horner over the grid, in normal form.
+
+    x and y are ints or Fractions; a float raises TypeError.  This is the
+    package's former BiPoly.evaluate, which only the Tutte identities read.
+    """
+    if isinstance(x, float) or isinstance(y, float):
+        raise TypeError(f"float in exact arithmetic: ({x!r}, {y!r})")
+    x, y = Fraction(x), Fraction(y)
+    acc = Fraction(0)
+    for row in reversed(p.grid):
+        racc = Fraction(0)
+        for c in reversed(row):
+            racc = racc * y + c
+        acc = acc * x + racc
+    return acc.numerator if acc.denominator == 1 else acc
+
+
 # ---------------------------------------------------------------- primes
 
 # deliberately disjoint from the package's Miller-Rabin bases 2..37
@@ -796,17 +816,17 @@ def check_p_unique(g: Graph, pk: PolyKind, n_bound: int) -> UniquenessVerdict:
 # ---------------------------------------------------------------- recurrences
 
 
-def verify(spec: RecurrenceSpec, seq: PolySequence) -> bool:
-    """Exact check of the relation on every window of the sequence."""
-    if len(seq.terms) <= spec.order:
+def verify(spec: RecurrenceSpec, terms: tuple[UniPoly, ...]) -> bool:
+    """Exact check of the relation on every window of the terms."""
+    if len(terms) <= spec.order:
         raise InputError(
             f"verification needs more than {spec.order} terms")
-    q, fs, terms = spec.order, spec.coefficients, seq.terms
+    q, fs = spec.order, spec.coefficients
     return all(sum((fs[t] * terms[s + t] for t in range(q)), UniPoly.zero())
                == terms[s + q] for s in range(len(terms) - q))
 
 
-def extend(spec: RecurrenceSpec, count: int) -> PolySequence:
+def extend(spec: RecurrenceSpec, count: int) -> tuple[UniPoly, ...]:
     """The seeds followed by `count` terms generated from the relation."""
     if count < 0:
         raise InputError("count must be nonnegative")
@@ -817,7 +837,7 @@ def extend(spec: RecurrenceSpec, count: int) -> PolySequence:
         for t in range(q):
             acc = acc + spec.coefficients[t] * terms[len(terms) - q + t]
         terms.append(acc)
-    return PolySequence(base_index=0, terms=tuple(terms), label="extended")
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------- frontier sweeps

@@ -130,6 +130,22 @@ class TestFit:
         assert code == 0
         assert rep["terms"] == 8
 
+    def test_poly_is_printed_as_its_label(self, capsys):
+        code, rep = run_cli(capsys, "fit", "--poly", "span:match",
+                            "--family", "cycle:3..14",
+                            "--max-order", "3", "--max-deg", "1")
+        assert code == 0
+        assert rep["poly"] == "span:match_like"
+
+    def test_bounds_are_checked_before_any_term(self, capsys):
+        # ladder:11 would exceed the subset cap; the range of 10 terms is
+        # rejected first, without computing one
+        code = main(["fit", "--poly", "ind:connected",
+                     "--family", "ladder:3..12",
+                     "--max-order", "30", "--max-deg", "1"])
+        assert code == 2
+        assert "needs at least 35 terms, got 10" in capsys.readouterr().err
+
 
 class TestRecognize:
     def test_brute(self, capsys, tmp_path):

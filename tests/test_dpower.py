@@ -93,34 +93,36 @@ class TestCaches:
 
         monkeypatch.setattr(graphpoly.dpower, "evaluate_handle", counting)
         tutte = parse_handle("tutte")
-        rep = compare(tutte, parse_handle("tutte"), "dp", 5)
-        assert not rep.p_le_q.refuted and not rep.q_le_p.refuted
+        forward, backward = compare(tutte, parse_handle("tutte"), "dp", 5)
+        assert forward is None and backward is None
         assert len(calls) == len(graphpoly.graph.graphs_up_to(5)) == 52
 
 
 class TestCompare:
     def test_chromatic_vs_tutte_dp(self):
-        rep = compare(parse_handle("chrom"), parse_handle("tutte"), "dp", 6)
-        assert rep.p_le_q.refuted and rep.q_le_p.refuted
-        g, h = rep.p_le_q.witness
+        forward, backward = compare(parse_handle("chrom"),
+                                    parse_handle("tutte"), "dp", 6)
+        assert forward is not None and backward is not None
+        g, h = forward
         assert is_isomorphic(g, complete_graph(1))
         assert is_isomorphic(h, empty_graph(2))
 
     def test_chromatic_vs_tutte_sdp(self):
-        rep = compare(parse_handle("chrom"), parse_handle("tutte"), "sdp", 6)
-        assert not rep.p_le_q.refuted
+        forward, _ = compare(parse_handle("chrom"), parse_handle("tutte"),
+                             "sdp", 6)
+        assert forward is None
 
     def test_witnesses_reverify(self):
         pairs = [("chrom", "tutte", "dp"), ("chrom", "indep", "dp"),
                  ("indep", "char", "dp"), ("chrom", "tutte", "sdp")]
         for p_text, q_text, mode in pairs:
             p, q = parse_handle(p_text), parse_handle(q_text)
-            rep = compare(p, q, mode, 5)
-            for fine, verdict in ((p, rep.p_le_q), (q, rep.q_le_p)):
+            forward, backward = compare(p, q, mode, 5)
+            for fine, witness in ((p, forward), (q, backward)):
                 coarse = q if fine is p else p
-                if not verdict.refuted:
+                if witness is None:
                     continue
-                g, h = verdict.witness
+                g, h = witness
                 assert evaluate_handle(coarse, g) == evaluate_handle(coarse, h)
                 assert evaluate_handle(fine, g) != evaluate_handle(fine, h)
                 if mode == "sdp":
@@ -136,40 +138,40 @@ class TestCompare:
         star = complete_bipartite(1, 4)
         c4_plus_dot = disjoint_union([cycle_graph(4), empty_graph(1)])
 
-        rep = compare(chrom, indep, "dp", 6)
-        assert is_isomorphic(rep.p_le_q.witness[0], tri_plus_dot)
-        assert is_isomorphic(rep.p_le_q.witness[1], path_graph(4))
-        assert is_isomorphic(rep.q_le_p.witness[0], p3_plus_dot)
-        assert is_isomorphic(rep.q_le_p.witness[1], two_edges)
+        forward, backward = compare(chrom, indep, "dp", 6)
+        assert is_isomorphic(forward[0], tri_plus_dot)
+        assert is_isomorphic(forward[1], path_graph(4))
+        assert is_isomorphic(backward[0], p3_plus_dot)
+        assert is_isomorphic(backward[1], two_edges)
 
-        rep = compare(chrom, char, "dp", 6)
-        assert is_isomorphic(rep.p_le_q.witness[0], star)
-        assert is_isomorphic(rep.p_le_q.witness[1], c4_plus_dot)
-        assert is_isomorphic(rep.q_le_p.witness[0], p3_plus_dot)
-        assert is_isomorphic(rep.q_le_p.witness[1], two_edges)
+        forward, backward = compare(chrom, char, "dp", 6)
+        assert is_isomorphic(forward[0], star)
+        assert is_isomorphic(forward[1], c4_plus_dot)
+        assert is_isomorphic(backward[0], p3_plus_dot)
+        assert is_isomorphic(backward[1], two_edges)
 
-        rep = compare(indep, char, "dp", 6)
-        assert is_isomorphic(rep.p_le_q.witness[0], star)
-        assert is_isomorphic(rep.p_le_q.witness[1], c4_plus_dot)
-        assert is_isomorphic(rep.q_le_p.witness[0], tri_plus_dot)
-        assert is_isomorphic(rep.q_le_p.witness[1], path_graph(4))
+        forward, backward = compare(indep, char, "dp", 6)
+        assert is_isomorphic(forward[0], star)
+        assert is_isomorphic(forward[1], c4_plus_dot)
+        assert is_isomorphic(backward[0], tri_plus_dot)
+        assert is_isomorphic(backward[1], path_graph(4))
 
     def test_monotone_in_bound(self):
         chrom, tutte = parse_handle("chrom"), parse_handle("tutte")
         first = None
         for bound in (2, 3, 4, 5):
-            rep = compare(chrom, tutte, "dp", bound)
-            assert rep.p_le_q.refuted
+            forward, _ = compare(chrom, tutte, "dp", bound)
+            assert forward is not None
             if first is None:
-                first = rep.p_le_q.witness
-            assert rep.p_le_q.witness == first
+                first = forward
+            assert forward == first
 
     def test_equivalent_count_invariants(self):
         # both handles determine exactly n(G)
-        rep = compare(parse_handle("ind:set(K1)"),
-                      parse_handle("genchrom:set(K1)"), "dp", 5)
-        assert not rep.p_le_q.refuted
-        assert not rep.q_le_p.refuted
+        forward, backward = compare(parse_handle("ind:set(K1)"),
+                                    parse_handle("genchrom:set(K1)"), "dp", 5)
+        assert forward is None
+        assert backward is None
 
     def test_implication_lemma(self):
         for p_text, q_text in (("chrom", "tutte"), ("indep", "char"),
@@ -178,17 +180,17 @@ class TestCompare:
             # dp no-refutation forces sdp no-refutation, both directions
             p, q = parse_handle(p_text), parse_handle(q_text)
             dp, sdp = compare(p, q, "dp", 5), compare(p, q, "sdp", 5)
-            assert dp.p_le_q.refuted or not sdp.p_le_q.refuted, (p_text, q_text)
-            assert dp.q_le_p.refuted or not sdp.q_le_p.refuted, (p_text, q_text)
+            for d, s in zip(dp, sdp):
+                assert d is not None or s is None, (p_text, q_text)
 
     def test_complementary_properties_same_report(self):
         third = parse_handle("indep")
         a = compare(parse_handle("prop:connected"), third, "dp", 5)
         b = compare(parse_handle("prop:not(connected)"), third, "dp", 5)
-        assert a.p_le_q.refuted == b.p_le_q.refuted
-        assert a.q_le_p.refuted == b.q_le_p.refuted
-        assert a.p_le_q.witness == b.p_le_q.witness
-        assert a.q_le_p.witness == b.q_le_p.witness
+        assert (a[0] is None) == (b[0] is None)
+        assert (a[1] is None) == (b[1] is None)
+        assert a[0] == b[0]
+        assert a[1] == b[1]
 
     def test_cap(self):
         from graphpoly.errors import CapError

@@ -166,7 +166,7 @@ class TestCharPoly:
     def test_laplacian_linear_coefficient_counts_spanning_trees(self):
         for g in (ladder_graph(20), wheel_graph(12), grid_graph(4, 4)):
             n = g.n
-            trees = tutte(g).evaluate(1, 1)
+            trees = oracles.evaluate_bivariate(tutte(g), 1, 1)
             assert char_poly(g, "laplacian").coefficient(1) \
                 == (-1) ** (n - 1) * n * trees
 
@@ -632,18 +632,22 @@ def assert_tutte_identities(g):
     """Evaluations of T(G), G connected, that other computations pin down."""
     t = tutte(g)
     n = g.n
+
+    def at(x, y):
+        return oracles.evaluate_bivariate(t, x, y)
+
     assert len(component_masks(g)) == 1
-    assert t.evaluate(2, 2) == 2 ** edge_count(g)
-    assert t.evaluate(2, 1) == gen_span(g, builtin("forest")).evaluate(1)
+    assert at(2, 2) == 2 ** edge_count(g)
+    assert at(2, 1) == gen_span(g, builtin("forest")).evaluate(1)
     # spanning trees, by the matrix-tree theorem: a Laplacian cofactor
     cofactor = [[g.adj[i].bit_count() if i == j else -(g.adj[i] >> j & 1)
                  for j in range(1, n)] for i in range(1, n)]
-    assert t.evaluate(1, 1) == int_determinant(cofactor)
+    assert at(1, 1) == int_determinant(cofactor)
     # P(G; L) = (-1)^(n-1) L T(1-L, 0); both sides have degree n
     p = chromatic(g)
     for lam in range(n + 1):
         assert p.evaluate(lam) \
-            == (-1) ** (n - 1) * lam * t.evaluate(1 - lam, 0)
+            == (-1) ** (n - 1) * lam * at(1 - lam, 0)
 
 
 def test_elimination_order_matches_recount():
@@ -709,7 +713,8 @@ def test_frontier_sweeps_ignore_vertex_labels(spec):
 
     def sweeps(h):
         return (chromatic(h), tutte(h), independence(h), dominating(h),
-                gen_ind(h, forest), gen_span(h, connected))
+                matching_numbers(h), gen_ind(h, forest),
+                gen_span(h, connected))
 
     g = make_family(parse_family_spec(spec))
     expect = sweeps(g)

@@ -123,9 +123,9 @@ class TestFloatRefusal:
         with pytest.raises(TypeError):
             UniPoly((1, 2)).evaluate(0.1)
         with pytest.raises(TypeError):
-            BiPoly([[0, 1], [1]]).evaluate(0.5, 1)
+            oracles.evaluate_bivariate(BiPoly([[0, 1], [1]]), 0.5, 1)
         with pytest.raises(TypeError):
-            BiPoly([[0, 1], [1]]).evaluate(1, 0.5)
+            oracles.evaluate_bivariate(BiPoly([[0, 1], [1]]), 1, 0.5)
 
     def test_linear_algebra(self):
         with pytest.raises(TypeError):
@@ -337,4 +337,4 @@ class TestBiPoly:
 
     def test_evaluate(self):
         p = BiPoly([[0, 1], [1], [1]])  # X^2 + X + Y
-        assert p.evaluate(2, 3) == 9
+        assert oracles.evaluate_bivariate(p, 2, 3) == 9

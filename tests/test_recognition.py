@@ -79,25 +79,25 @@ class TestBruteRecognize:
 
 class TestFamilyRecognize:
     def test_hermite_five(self):
-        rec = family_recognize(hermite_he(5), parse_poly_kind("mu"), "clique")
-        assert rec.found
-        assert rec.index == 5
-        assert rec.uniqueness_assumed
+        index = family_recognize(hermite_he(5), parse_poly_kind("mu"),
+                                 "clique")
+        assert index is not None
+        assert index == 5
 
     def test_mismatch_returns_absent(self):
-        rec = family_recognize(hermite_he(5) + UniPoly.one(),
-                               parse_poly_kind("mu"), "clique")
-        assert not rec.found
-        assert rec.index is None
+        index = family_recognize(hermite_he(5) + UniPoly.one(),
+                                 parse_poly_kind("mu"), "clique")
+        assert index is None
 
     def test_cycle_defect(self):
-        rec = family_recognize(matching_defect(cycle_graph(6)),
-                               parse_poly_kind("mu"), "cycle")
-        assert rec.index == 6
+        index = family_recognize(matching_defect(cycle_graph(6)),
+                                 parse_poly_kind("mu"), "cycle")
+        assert index == 6
 
     def test_degree_below_family_range(self):
-        rec = family_recognize(UniPoly([0, 1]), parse_poly_kind("mu"), "cycle")
-        assert not rec.found
+        index = family_recognize(UniPoly([0, 1]), parse_poly_kind("mu"),
+                                 "cycle")
+        assert index is None
 
     def test_no_degree_map_for_indep(self):
         with pytest.raises(InputError):
@@ -114,8 +114,8 @@ class TestFamilyRecognize:
                 from graphpoly.graph import make_family, parse_family_spec
                 g = make_family(parse_family_spec(f"{family}:{n}"))
                 p = compute_poly(pk, g)
-                rec = family_recognize(p, pk, family)
-                assert rec.index == n, (kind, family, n)
+                assert family_recognize(p, pk, family) == n, \
+                    (kind, family, n)
                 brute = brute_recognize(p, pk)
                 assert any(is_isomorphic(g, h) for h in brute.matches)
 
@@ -125,7 +125,7 @@ class TestFamilyRecognize:
                  for k in (1, 2, 3)] + [("grid", 2, cycle_graph(4))]
         for family, k, g in cases:
             p = compute_poly(pk, g)
-            assert family_recognize(p, pk, family).index == k, (family, k)
+            assert family_recognize(p, pk, family) == k, (family, k)
             brute = brute_recognize(p, pk)
             assert any(is_isomorphic(g, h) for h in brute.matches)
 

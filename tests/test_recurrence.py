@@ -12,11 +12,9 @@ from graphpoly.invariants import char_poly, parse_poly_kind
 from graphpoly.orthopoly import chebyshev_t, chebyshev_u
 from graphpoly.poly import UniPoly
 from graphpoly.recurrence import (
-    PolySequence,
     RecurrenceSpec,
     family_sequence,
     fit,
-    fit_family,
     parse_family_range,
 )
 
@@ -38,7 +36,7 @@ def geometric_one_plus_x(count):
     for _ in range(count):
         terms.append(cur)
         cur = cur * base
-    return PolySequence(1, tuple(terms), label="(1+X)^n")
+    return tuple(terms)
 
 
 class TestFit:
@@ -54,8 +52,7 @@ class TestFit:
         assert spec.coefficients == (UniPoly([-1, 1]), UniPoly([-2, 1]))
 
     def test_constant_sequence(self):
-        seq = PolySequence(0, tuple([UniPoly.one()] * 8), label="ones")
-        spec = fit(seq, max_order=2, max_deg=1)
+        spec = fit((UniPoly.one(),) * 8, max_order=2, max_deg=1)
         assert spec.order == 1
         assert spec.coefficients == (UniPoly.one(),)
 
@@ -66,22 +63,20 @@ class TestFit:
 
     def test_rediscovers_chebyshev_recurrence(self):
         for gen in (chebyshev_t, chebyshev_u):
-            seq = PolySequence(0, tuple(gen(n) for n in range(10)),
-                               label="chebyshev")
-            spec = fit(seq, max_order=3, max_deg=2)
+            spec = fit(tuple(gen(n) for n in range(10)), max_order=3,
+                       max_deg=2)
             assert spec.order == 2
             assert spec.coefficients == (UniPoly([-1]), UniPoly([0, 2]))
 
     def test_rational_coefficients_in_normal_form(self):
         # p_n = 2^(10-n) (1 + X): integral terms, p_{n+1} = p_n / 2
-        seq = PolySequence(0, tuple(UniPoly([2 ** (10 - n)] * 2)
-                                    for n in range(10)), label="halving")
-        spec = fit(seq, max_order=2, max_deg=1)
+        terms = tuple(UniPoly([2 ** (10 - n)] * 2) for n in range(10))
+        spec = fit(terms, max_order=2, max_deg=1)
         assert spec.coefficients == (UniPoly([Fraction(1, 2)]),)
         for f in spec.coefficients + spec.seeds:
             assert all(oracles.is_normal(c) for c in f.coeffs)
         assert all(oracles.is_normal(c)
-                   for t in extend(spec, 12).terms for c in t.coeffs)
+                   for t in extend(spec, 12) for c in t.coeffs)
 
     def test_clique_chromatic_not_c_finite_at_small_bounds(self):
         assert fit(chrom_seq("clique", 1, 14), max_order=4, max_deg=4) is None
@@ -148,8 +143,7 @@ class TestSoundnessAndMinimality:
         fa = fit(pa, 2, 1)
         fb = fit(pb, 3, 1)
         assert fa.order == 2 and fb.order == 3
-        summed = PolySequence(
-            3, tuple(a + b for a, b in zip(pa.terms, pb.terms)), label="sum")
+        summed = tuple(a + b for a, b in zip(pa, pb))
         fs = fit(summed, fa.order + fb.order, max(1, 1))
         assert fs is not None
         assert verify(fs, summed)
@@ -164,8 +158,8 @@ class TestSoundnessAndMinimality:
         terms = tuple(gen_ind(path_graph(n), c) for n in range(1, 10))
         comp_terms = tuple(gen_ind(path_graph(n), complement_property(c))
                            for n in range(1, 10))
-        direct = fit(PolySequence(1, terms, label="ind"), 1, 2)
-        comp = fit(PolySequence(1, comp_terms, label="ind-comp"), 1, 2)
+        direct = fit(terms, 1, 2)
+        comp = fit(comp_terms, 1, 2)
         assert direct is not None
         assert comp is not None
         assert comp.coefficients == (UniPoly([1, 1]),)
@@ -190,10 +184,8 @@ class TestVerify:
             coefficients=(UniPoly([-1]), UniPoly([0, 2])),
             seeds=(chebyshev_t(0), chebyshev_t(1)),
             degree_bound=1)
-        t_seq = PolySequence(
-            0, tuple(chebyshev_t(n) for n in range(10)), label="T")
-        u_seq = PolySequence(
-            0, tuple(chebyshev_u(n) for n in range(10)), label="U")
+        t_seq = tuple(chebyshev_t(n) for n in range(10))
+        u_seq = tuple(chebyshev_u(n) for n in range(10))
         assert verify(spec, t_seq)
         u_spec = RecurrenceSpec(
             order=2,
@@ -206,7 +198,7 @@ class TestVerify:
         spec = RecurrenceSpec(order=2, coefficients=(UniPoly([-1]), X),
                               seeds=(UniPoly.one(), X), degree_bound=1)
         with pytest.raises(InputError):
-            verify(spec, PolySequence(0, (UniPoly.one(),), label="short"))
+            verify(spec, (UniPoly.one(),))
 
 
 class TestExtend:
@@ -217,21 +209,18 @@ class TestExtend:
             seeds=(chebyshev_t(0), chebyshev_t(1)),
             degree_bound=1)
         out = extend(spec, 3)
-        assert out.base_index == 0
-        assert len(out.terms) == 5
-        assert out.terms[2:] == tuple(chebyshev_t(n) for n in (2, 3, 4))
+        assert len(out) == 5
+        assert out[2:] == tuple(chebyshev_t(n) for n in (2, 3, 4))
 
     def test_zero_count_returns_seeds(self):
         spec = RecurrenceSpec(order=1, coefficients=(UniPoly.one(),),
                               seeds=(UniPoly.one(),), degree_bound=0)
-        out = extend(spec, 0)
-        assert out.terms == spec.seeds
+        assert extend(spec, 0) == spec.seeds
 
     def test_path_characteristic_regenerates(self):
         seq = char_seq("path", 1, 12)
         spec = fit(seq, 2, 1)
-        out = extend(spec, 6)
-        assert out.terms[:8] == seq.terms[:8]
+        assert extend(spec, 6)[:8] == seq[:8]
 
     def test_negative_count(self):
         spec = RecurrenceSpec(order=1, coefficients=(UniPoly.one(),),
@@ -247,33 +236,29 @@ class TestFamilyPlumbing:
             with pytest.raises(InputError):
                 parse_family_range(bad)
 
-    def test_sequence_labels_and_base(self):
+    def test_sequence_length(self):
         seq = family_sequence(parse_poly_kind("char"), "path", 1, 8)
-        assert seq.base_index == 1
-        assert seq.label == "char|path"
-        assert len(seq.terms) == 8
+        assert len(seq) == 8
 
     def test_two_index_families_run_along_the_diagonal(self):
-        seq = char_seq("cbipartite", 1, 4)
-        assert seq.label == "char|cbipartite"
-        assert seq.terms == tuple(char_poly(complete_bipartite(k, k))
-                                  for k in range(1, 5))
-        assert char_seq("grid", 2, 3).terms == (char_poly(grid_graph(2, 2)),
-                                                char_poly(grid_graph(3, 3)))
+        assert char_seq("cbipartite", 1, 4) == tuple(
+            char_poly(complete_bipartite(k, k)) for k in range(1, 5))
+        assert char_seq("grid", 2, 3) == (char_poly(grid_graph(2, 2)),
+                                          char_poly(grid_graph(3, 3)))
 
     def test_bivariate_kind_rejected(self):
         with pytest.raises(InputError):
             family_sequence(parse_poly_kind("tutte"), "path", 1, 8)
 
-    def test_fit_family_report(self):
-        report = fit_family(parse_poly_kind("char"), "cycle", 3, 14, 3, 2)
-        assert report.found
-        assert report.spec.order == 3
-        assert verify(report.spec, report.sequence)
-        absent = fit_family(parse_poly_kind("mu"), "clique", 1, 12, 2, 1)
-        assert not absent.found
-        assert absent.spec is None
+    def test_fit_of_a_family_sequence(self):
+        terms = family_sequence(parse_poly_kind("char"), "cycle", 3, 14)
+        spec = fit(terms, 3, 2)
+        assert spec is not None
+        assert spec.order == 3
+        assert verify(spec, terms)
+        absent = family_sequence(parse_poly_kind("mu"), "clique", 1, 12)
+        assert fit(absent, 2, 1) is None
 
     def test_fit_family_index_bounds_propagate(self):
         with pytest.raises(InputError):
-            fit_family(parse_poly_kind("char"), "cycle", 1, 12, 2, 1)
+            family_sequence(parse_poly_kind("char"), "cycle", 1, 12)
