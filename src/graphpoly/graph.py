@@ -7,7 +7,7 @@ adjacency symmetric and irreflexive.
 
 FAMILIES is the one registry of named families (builder, index count,
 least index, order).  Parsing, make_family and family_member (the k-th
-member, along the diagonal for two indices) read it; make_family and
+member, along the diagonal for two indices) read it; family_order and
 parse_graph refuse orders above MAX_ORDER before allocating anything.
 
 canonical_form returns the lexicographically minimal adjacency bit string
@@ -355,29 +355,36 @@ def get_family(name: str) -> Family:
 
 
 def family_order(spec: FamilySpec) -> int:
-    """Order of the graph a spec builds, read off the registry."""
+    """Order of the graph a spec builds, read off the registry; CapError
+    above MAX_ORDER, so nothing that large is built."""
     if spec.name == "du":
-        return sum(family_order(p) for p in spec.parts)
-    fam = get_family(spec.name)
-    if min(spec.params) < fam.least:
-        raise InputError(f"family {spec.name!r} needs indices >= {fam.least}, "
-                         f"got {family_label(spec)}")
-    return fam.order(*spec.params)
-
-
-def make_family(spec: FamilySpec) -> Graph:
-    n = family_order(spec)
+        n = sum(family_order(p) for p in spec.parts)
+    else:
+        fam = get_family(spec.name)
+        if min(spec.params) < fam.least:
+            raise InputError(f"family {spec.name!r} needs indices >= "
+                             f"{fam.least}, got {family_label(spec)}")
+        n = fam.order(*spec.params)
     if n > MAX_ORDER:
         raise CapError(f"family {family_label(spec)} has order {n}, over "
                        f"the bound of {MAX_ORDER}")
+    return n
+
+
+def make_family(spec: FamilySpec) -> Graph:
+    family_order(spec)
     if spec.name == "du":
         return disjoint_union(make_family(p) for p in spec.parts)
     return FAMILIES[spec.name].build(*spec.params)
 
 
-def family_member(name: str, k: int) -> Graph:
+def member_spec(name: str, k: int) -> FamilySpec:
     """The k-th member; a two-index family runs along its diagonal."""
-    return make_family(FamilySpec(name, (k,) * get_family(name).arity))
+    return FamilySpec(name, (k,) * get_family(name).arity)
+
+
+def family_member(name: str, k: int) -> Graph:
+    return make_family(member_spec(name, k))
 
 
 def family_note(spec: FamilySpec) -> list[str]:

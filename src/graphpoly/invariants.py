@@ -4,10 +4,10 @@ For a graph G on n vertices and m edges this module computes, always over
 exact rationals or integers:
 
 * char_poly: det(X I - M) with M the adjacency or Laplacian matrix, by
-  Hessenberg reduction modulo primes below 2^61 and the Chinese remainder
-  theorem, until the product of the primes exceeds 2 (1 + R)^n with R the
-  largest absolute row sum of M, which bounds every coefficient; the
-  result is asserted monic with integer entries.
+  Hessenberg reduction modulo the Mersenne primes 2^61 - 1, 2^89 - 1, ...
+  and the Chinese remainder theorem, until their product exceeds
+  2 (1 + R)^n with R the largest absolute row sum of M, which bounds
+  every coefficient; the result is asserted monic with integer entries.
 * matching_numbers m_k, the defect form  sum_k (-1)^k m_k X^(n-2k)  and
   the generating form  sum_k m_k X^k, by the matching sweep (below).
 * gen_ind(G, C) = sum of X^|A| over vertex subsets A with G[A] in C; the
@@ -557,20 +557,20 @@ def maximal_clique_profile(g: Graph, caps: Caps = DEFAULT_CAPS) -> UniPoly:
         raise CapError(f"maximal-clique search capped at n <= "
                        f"{caps.subset_n}, got {g.n}")
     counts = [0] * (g.n + 1)
-
-    def expand(r_size: int, p_mask: int, x_mask: int) -> None:
+    # Bron-Kerbosch with pivoting; K_n nests n deep, so the stack is explicit
+    stack = [(0, (1 << g.n) - 1, 0)]
+    while stack:
+        r_size, p_mask, x_mask = stack.pop()
         if p_mask == 0 and x_mask == 0:
             counts[r_size] += 1
-            return
+            continue
         pivot_pool = p_mask | x_mask
         pivot = (pivot_pool & -pivot_pool).bit_length() - 1
         candidates = p_mask & ~g.adj[pivot]
         for v in bits(candidates):
-            expand(r_size + 1, p_mask & g.adj[v], x_mask & g.adj[v])
+            stack.append((r_size + 1, p_mask & g.adj[v], x_mask & g.adj[v]))
             p_mask ^= 1 << v
             x_mask |= 1 << v
-
-    expand(0, (1 << g.n) - 1, 0)
     return UniPoly(counts)
 
 

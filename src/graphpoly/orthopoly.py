@@ -22,53 +22,40 @@ from .graph import MAX_ORDER
 from .poly import UniPoly
 
 
-def _check_index(n: int) -> None:
+def _three_term(n: int, first: UniPoly, step) -> UniPoly:
+    """p_n for p_0 = 1, p_1 = first and p_(k+1) = step(k, p_k, p_(k-1))."""
     if n < 0:
         raise InputError(f"polynomial index must be nonnegative, got {n}")
     if n > MAX_ORDER:
         raise CapError(
             f"polynomial index {n} is over the bound of {MAX_ORDER}")
+    if n == 0:
+        return UniPoly.one()
+    prev, cur = UniPoly.one(), first
+    for k in range(1, n):
+        prev, cur = cur, step(k, cur, prev)
+    return cur
+
+
+def _chebyshev_step(k: int, p: UniPoly, q: UniPoly) -> UniPoly:
+    return UniPoly([0, 2]) * p - q
 
 
 def chebyshev_t(n: int) -> UniPoly:
-    _check_index(n)
-    prev, cur = UniPoly.one(), UniPoly.x()
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, UniPoly([0, 2]) * cur - prev
-    return cur
+    return _three_term(n, UniPoly.x(), _chebyshev_step)
 
 
 def chebyshev_u(n: int) -> UniPoly:
-    _check_index(n)
-    prev, cur = UniPoly.one(), UniPoly([0, 2])
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, UniPoly([0, 2]) * cur - prev
-    return cur
+    return _three_term(n, UniPoly([0, 2]), _chebyshev_step)
 
 
 def hermite_he(n: int) -> UniPoly:
-    _check_index(n)
-    prev, cur = UniPoly.one(), UniPoly.x()
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, UniPoly.x() * cur - k * prev
-    return cur
+    return _three_term(n, UniPoly.x(), lambda k, p, q: UniPoly.x() * p - k * q)
 
 
 def laguerre(n: int) -> UniPoly:
-    _check_index(n)
-    prev, cur = UniPoly.one(), UniPoly([1, -1])
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        mid = UniPoly([2 * k + 1, -1]) * cur - k * prev
-        prev, cur = cur, Fraction(1, k + 1) * mid
-    return cur
+    return _three_term(n, UniPoly([1, -1]), lambda k, p, q: Fraction(1, k + 1)
+                       * (UniPoly([2 * k + 1, -1]) * p - k * q))
 
 
 _FAMILIES = {

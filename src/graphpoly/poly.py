@@ -5,7 +5,7 @@ polynomials over Q, bivariate coefficient grids over Z (text and comparison
 only), the falling-factorial basis, and exact linear algebra (a
 fraction-free Bareiss solver, integer determinants, Newton interpolation,
 and integer characteristic polynomials by Hessenberg reduction modulo
-primes).  No floating point appears anywhere: a float handed to a
+Mersenne primes).  No floating point appears anywhere: a float handed to a
 polynomial, to its arithmetic, to an evaluation or to the linear algebra
 raises TypeError.
 
@@ -33,13 +33,12 @@ Text formats, shared bit-exactly with the CLI:
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import CapError, InputError
 
 MINUS_INFINITY = float("-inf")
 
@@ -411,44 +410,13 @@ def int_determinant(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-# Miller-Rabin to the first twelve prime bases is exact below
-# 318665857834031151167461 (3.2e23), the least strong pseudoprime to all
-# of them; the moduli lie below 2^61
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.2e23."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@functools.cache
-def _modulus(i: int) -> int:
-    """The i-th largest prime below 2^61 (i = 0 gives 2^61 - 1), found on
-    first use."""
-    c = _modulus(i - 1) - 2 if i else (1 << 61) - 1
-    while not _is_prime(c):
-        c -= 2
-    return c
+# exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on (OEIS
+# A000043); their product, about 2^19168, passes the coefficient bound of
+# every graph of order MAX_ORDER
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                      4253, 4423)
+_MODULI = tuple((1 << e) - 1 for e in MERSENNE_EXPONENTS)
+_MODULI_PRODUCT = math.prod(_MODULI)
 
 
 def _char_poly_mod(rows, p: int) -> list[int]:
@@ -502,9 +470,11 @@ def int_char_poly(rows) -> list[int]:
 
     With R the largest absolute row sum every eigenvalue has modulus at
     most R, so every coefficient is at most (1 + R)^n in absolute value.
-    The residues modulo the primes below 2^61 are combined by the Chinese
+    The residues modulo the Mersenne primes 2^e - 1, e in
+    MERSENNE_EXPONENTS, smallest first, are combined by the Chinese
     remainder theorem until their product exceeds twice that bound, and
-    the symmetric lift then recovers the coefficients exactly.
+    the symmetric lift then recovers the coefficients exactly.  A bound
+    past the product of all of them raises CapError.
     """
     n = len(rows)
     for row in rows:
@@ -512,12 +482,16 @@ def int_char_poly(rows) -> list[int]:
             raise InputError("characteristic polynomial needs a square matrix")
     r = max((sum(abs(c) for c in row) for row in rows), default=0)
     bound = 2 * (1 + r) ** n
+    if bound >= _MODULI_PRODUCT:
+        raise CapError(f"characteristic polynomial bound of "
+                       f"{bound.bit_length()} bits passes the "
+                       f"{_MODULI_PRODUCT.bit_length()}-bit product of "
+                       f"the Mersenne moduli")
     coeffs = [0] * (n + 1)
     modulus = 1
-    i = 0
-    while modulus <= bound:
-        p = _modulus(i)
-        i += 1
+    for p in _MODULI:
+        if modulus > bound:
+            break
         inv = pow(modulus, -1, p)
         coeffs = [c + modulus * ((x - c) * inv % p)
                   for c, x in zip(coeffs, _char_poly_mod(rows, p))]

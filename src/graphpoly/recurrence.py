@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InputError
-from .graph import family_member
+from .graph import family_member, family_order, member_spec
 from .invariants import BIVARIATE_KINDS, PolyKind, compute_poly
 from .poly import UniPoly, solve_linear_exact
 
@@ -173,8 +173,10 @@ def parse_family_range(text: str) -> tuple[str, int, int]:
 
 def family_sequence(pk: PolyKind, family: str, n_from: int, n_to: int,
                     caps: Caps = DEFAULT_CAPS) -> tuple[UniPoly, ...]:
-    """Polynomial values of one kind along a family, by member index."""
+    """Polynomial values of one kind along a family, by member index; a
+    last (largest) member over MAX_ORDER is refused before any term."""
     if pk.kind in BIVARIATE_KINDS:
         raise InputError("recurrence fitting works on univariate kinds only")
+    family_order(member_spec(family, n_to))
     return tuple(compute_poly(pk, family_member(family, i), caps)
                  for i in range(n_from, n_to + 1))

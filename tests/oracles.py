@@ -675,30 +675,16 @@ def evaluate_bivariate(p: BiPoly, x, y):
 
 # ---------------------------------------------------------------- primes
 
-# deliberately disjoint from the package's Miller-Rabin bases 2..37
-SPRP_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-
-def is_strong_probable_prime(n: int, bases=SPRP_BASES) -> bool:
-    """Trial division by the primes below 100, then strong-probable-prime
-    tests to the given bases."""
-    if n < 2:
-        return False
-    small = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        if all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
-            return False
-    return True
+def lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for an odd prime e (Lucas-Lehmer):
+    s_0 = 4, s_(k+1) = s_k^2 - 2, and 2^e - 1 is prime exactly when it
+    divides s_(e-2)."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 # ---------------------------------------------------------------- misc

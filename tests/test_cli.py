@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,15 @@ class TestFit:
                      "--max-order", "30", "--max-deg", "1"])
         assert code == 2
         assert "needs at least 35 terms, got 10" in capsys.readouterr().err
+
+    def test_range_past_the_order_bound_exits_3_before_any_term(self, capsys):
+        start = time.perf_counter()
+        code = main(["fit", "--poly", "char", "--family", "cycle:3..1100",
+                     "--max-order", "2", "--max-deg", "1"])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "order 1100" in err and "1024" in err
 
 
 class TestRecognize:

@@ -758,6 +758,12 @@ class TestMaximalCliques:
         assert maximal_clique_profile(path_graph(3)) == UniPoly.monomial(2, 2)
         assert maximal_clique_profile(empty_graph(3)) == UniPoly.monomial(1, 3)
 
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # K_n nests n deep, past the default recursion limit of 1000
+        profile = maximal_clique_profile(complete_graph(1024),
+                                         Caps(subset_n=1024))
+        assert profile == UniPoly.monomial(1024)
+
     def test_against_subset_scan(self):
         for n in (1, 2, 3, 4, 5):
             for g in enumerate_graphs(n):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from graphpoly import poly
-from graphpoly.errors import InputError
+from graphpoly.errors import CapError, InputError
 from graphpoly.poly import (
     MINUS_INFINITY,
     BiPoly,
@@ -282,29 +282,22 @@ class TestIntCharPoly:
         with pytest.raises(InputError):
             int_char_poly([[1, 2], [3]])
 
-    def test_moduli_are_the_largest_primes_below_2_to_61(self):
-        moduli = [poly._modulus(i) for i in range(8)]
-        assert moduli[0] == 2 ** 61 - 1
-        assert all(a > b for a, b in zip(moduli, moduli[1:]))
-        assert len(set(moduli)) == len(moduli)
-        assert all(oracles.is_strong_probable_prime(p) for p in moduli)
-        # and no prime is skipped between two of them
-        for hi, lo in zip(moduli, moduli[1:]):
-            assert not any(oracles.is_strong_probable_prime(c)
-                           for c in range(lo + 1, hi))
+    def test_moduli_are_mersenne_primes(self):
+        exps = poly.MERSENNE_EXPONENTS
+        assert exps[0] == 61 and list(exps) == sorted(set(exps))
+        for e in exps:
+            assert all(e % q for q in range(2, math.isqrt(e) + 1))
+            assert oracles.lucas_lehmer(e)
+        # the product passes the coefficient bound of the Laplacian of
+        # the largest graph allowed, K_1024
+        n = 1024
+        assert math.prod((1 << e) - 1 for e in exps) \
+            > 2 * (1 + 2 * (n - 1)) ** n
 
-    def test_primality_agrees_with_an_independent_check(self):
-        for n in range(3000):
-            assert poly._is_prime(n) == oracles.is_strong_probable_prime(n)
-        # strong pseudoprimes to the bases 2..7 and 2..31
-        for n in (3215031751, 3825123056546413051):
-            assert not oracles.is_strong_probable_prime(n)
-            assert not poly._is_prime(n)
-        # the least strong pseudoprime to all of 2..37, where the library's
-        # test stops being exact, far above the moduli
-        psi12 = 318665857834031151167461
-        assert not oracles.is_strong_probable_prime(psi12)
-        assert poly._is_prime(psi12) and psi12 > 2 ** 78
+    def test_bound_past_every_modulus_is_a_cap_error(self):
+        big = 2 ** 12000
+        with pytest.raises(CapError, match="24004 bits.*19168"):
+            int_char_poly([[big, big], [big, big]])
 
     def test_lift_across_three_moduli(self, monkeypatch):
         # the Laplacian of K_40 has char poly X (X - 40)^39: coefficients of
@@ -323,7 +316,8 @@ class TestIntCharPoly:
                           for k in range(n)]
         assert int_char_poly(rows) == expected
         assert len(residues) >= 3
-        assert min(expected) < -poly._modulus(0) * poly._modulus(1)
+        assert residues[:2] == [2 ** 61 - 1, 2 ** 89 - 1]
+        assert min(expected) < -residues[0] * residues[1]
 
 
 class TestBiPoly:
